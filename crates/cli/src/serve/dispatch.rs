@@ -42,7 +42,7 @@ use std::time::Duration;
 
 use fjs_core::service::{
     stable_shard, tenant_of, OpenDecision, PoolReply, PoolRequest, ServeEvent, ServeJournal,
-    SessionPool, TenantBreakers,
+    SessionPool, TenantBreakers, Waker,
 };
 use fjs_core::time::{dur, t};
 use fjs_workloads::{DeadLetter, Quarantine};
@@ -184,10 +184,12 @@ impl PooledServer {
         self.next_seq - self.next_emit
     }
 
-    /// True while any dispatched request has not yet been emitted — the
-    /// frontend should poll the pool eagerly instead of idling.
-    pub fn busy(&self) -> bool {
-        self.inflight_len() > 0
+    /// Installs or removes the pool's completion waker (see
+    /// [`SessionPool::set_waker`]). A frontend that blocks on its own
+    /// event source installs one so finished work wakes it, and calls
+    /// [`PooledServer::pump`] after every event it receives.
+    pub fn set_waker(&mut self, waker: Option<Waker>) {
+        self.pool.set_waker(waker);
     }
 
     fn halt(&mut self, why: String) {
@@ -324,8 +326,10 @@ impl PooledServer {
     }
 
     /// Drains ready worker results and releases ordered output into
-    /// `out` as `(conn, reply)` pairs.
+    /// `out` as `(conn, reply)` pairs. The waker is re-armed *before* the
+    /// drain, so a result landing after it fires a fresh wake.
     pub fn pump(&mut self, out: &mut Vec<(u64, String)>) -> Result<(), String> {
+        self.pool.rearm_waker();
         while let Some((seq, reply)) = self.pool.try_recv() {
             self.render(seq, reply);
         }

@@ -980,12 +980,13 @@ impl Backend {
         }
     }
 
-    /// True while worker results are still outstanding. The serial
-    /// backend answers every request synchronously, so it is never busy.
-    pub fn busy(&self) -> bool {
-        match self {
-            Backend::Serial(_) => false,
-            Backend::Pooled(p) => p.busy(),
+    /// Installs or removes the callback that pooled work makes when it
+    /// completes, so a frontend blocked on its own events wakes to
+    /// [`Backend::pump`]. The serial backend answers inside
+    /// [`Backend::submit`] and never calls it.
+    pub fn set_waker(&mut self, waker: Option<fjs_core::service::Waker>) {
+        if let Backend::Pooled(p) = self {
+            p.set_waker(waker);
         }
     }
 
@@ -1138,15 +1139,32 @@ fn write_replies(
     Ok(())
 }
 
+/// What the stdin frontend's dispatch loop blocks on.
+enum StdinEvent {
+    /// One input line and its byte offset.
+    Line(u64, String),
+    /// Pooled work completed; pump the backend.
+    Wake,
+    /// Input ended (EOF or a read error).
+    End,
+}
+
 /// Serves the process's stdin, replying on stdout. Reads happen on a
 /// helper thread feeding a channel, so a `SIGINT`/`SIGTERM` drain request
 /// is honoured within ~100ms even while blocked waiting for input (a
 /// blocking `read_line` would swallow the signal until the next line).
+/// Pooled completions post a `Wake` on the same channel, so a reply is
+/// written as soon as its worker finishes, not on the next line.
 pub fn run_stdin(backend: &mut Backend) -> Result<(), String> {
     use std::sync::mpsc;
-    use std::time::Duration;
 
-    let (tx, rx) = mpsc::channel::<(u64, String)>();
+    let (tx, rx) = mpsc::channel::<StdinEvent>();
+    let wake_tx = tx.clone();
+    // Unbounded, so the waker never blocks a worker; coalescing keeps at
+    // most one `Wake` outstanding per pump.
+    backend.set_waker(Some(Box::new(move || {
+        let _ = wake_tx.send(StdinEvent::Wake);
+    })));
     std::thread::spawn(move || {
         let stdin = io::stdin();
         let mut src = stdin.lock();
@@ -1157,41 +1175,57 @@ pub fn run_stdin(backend: &mut Backend) -> Result<(), String> {
             match src.read_line(&mut buf) {
                 Ok(0) | Err(_) => break,
                 Ok(n) => {
-                    if tx.send((offset, buf.clone())).is_err() {
-                        break;
+                    if tx.send(StdinEvent::Line(offset, buf.clone())).is_err() {
+                        return;
                     }
                     offset += n as u64;
                 }
             }
         }
+        let _ = tx.send(StdinEvent::End);
     });
 
     let stdout = io::stdout();
     let mut stdout = stdout.lock();
     let mut replies: Option<&mut dyn Write> = Some(&mut stdout);
     let mut out: Vec<(u64, String)> = Vec::new();
-    let throttle = backend.throttle_ms();
-    loop {
-        if stop_requested() || backend.halted() {
-            break;
-        }
-        match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok((offset, line)) => {
-                if throttle > 0 {
-                    std::thread::sleep(Duration::from_millis(throttle));
-                }
-                backend.submit(0, offset, &line, &mut out)?;
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                backend.pump(&mut out)?;
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        }
-        write_replies(&mut out, &mut replies)?;
-    }
+    let served = stdin_loop(backend, &rx, &mut out, &mut replies);
+    backend.set_waker(None);
+    served?;
     backend.settle(&mut out)?;
     write_replies(&mut out, &mut replies)?;
     Ok(())
+}
+
+/// The stdin dispatch loop: submits each line, and pumps the backend
+/// after every event so a completion is written as soon as it wakes us.
+fn stdin_loop(
+    backend: &mut Backend,
+    rx: &std::sync::mpsc::Receiver<StdinEvent>,
+    out: &mut Vec<(u64, String)>,
+    replies: &mut Option<&mut dyn Write>,
+) -> Result<(), String> {
+    use std::sync::mpsc::RecvTimeoutError;
+    use std::time::Duration;
+
+    let throttle = backend.throttle_ms();
+    loop {
+        if stop_requested() || backend.halted() {
+            return Ok(());
+        }
+        match rx.recv_timeout(Duration::from_millis(100)) {
+            Ok(StdinEvent::Line(offset, line)) => {
+                if throttle > 0 {
+                    std::thread::sleep(Duration::from_millis(throttle));
+                }
+                backend.submit(0, offset, &line, out)?;
+            }
+            Ok(StdinEvent::Wake) | Err(RecvTimeoutError::Timeout) => {}
+            Ok(StdinEvent::End) | Err(RecvTimeoutError::Disconnected) => return Ok(()),
+        }
+        backend.pump(out)?;
+        write_replies(out, replies)?;
+    }
 }
 
 /// Outcome of an in-process [`run_script`] call.

@@ -6,7 +6,12 @@
 //! lines and feed a **bounded** event channel (so a flood of clients
 //! exerts backpressure instead of growing an unbounded queue); the
 //! dispatching thread submits each line to the [`Backend`] and routes
-//! completed replies to the owning connection's writer. Each connection
+//! completed replies to the owning connection's writer. Pooled work that
+//! completes posts a `Wake` on the same channel (never blocking: a full
+//! queue drops it), and the dispatcher pumps the backend after *every*
+//! event, so a dropped wake is covered by the pump after the event that
+//! filled the queue. Its only timer is a 100 ms heartbeat that checks
+//! for a stop signal. Each connection
 //! has its own byte-offset space; the protocol line counter is global,
 //! so journal resume cursors only apply to file/stdin frontends (socket
 //! input is not re-readable).
@@ -49,7 +54,10 @@ use crate::soak::stop_requested;
 /// Bounded capacity of the line/event channel feeding the dispatcher.
 const EVENT_QUEUE: usize = 1024;
 
-/// Poll cadence for nonblocking accepts and idle dispatch ticks.
+/// How often an idle dispatcher wakes to check for a stop signal.
+const HEARTBEAT: Duration = Duration::from_millis(100);
+
+/// Poll cadence for nonblocking accepts.
 const IDLE_TICK: Duration = Duration::from_millis(20);
 
 /// Backoff after a transient `accept()` failure.
@@ -265,6 +273,8 @@ enum NetEvent {
     AcceptFatal {
         what: String,
     },
+    /// Pooled work completed; the dispatcher pumps the backend.
+    Wake,
 }
 
 /// Splits a byte stream into newline-terminated frames with a hard cap
@@ -499,26 +509,53 @@ pub fn run_connections(backend: &mut Backend, listeners: Vec<AnyListener>) -> Re
             accept_loop(listener, caps, tx, shutdown, ids, retries)
         }));
     }
+
+    // The waker holds a sender, so it must be uninstalled on every exit
+    // from the loop, error returns included.
+    let wake_tx = tx.clone();
+    backend.set_waker(Some(Box::new(move || {
+        let _ = wake_tx.try_send(NetEvent::Wake);
+    })));
     drop(tx);
 
     let mut conns: HashMap<u64, ConnState> = HashMap::new();
     let mut out: Vec<(u64, String)> = Vec::new();
+    let dispatched = dispatch_loop(backend, &rx, caps, &mut conns, &mut out);
+    backend.set_waker(None);
+    let fatal = dispatched?;
+
+    // Drain: deliver every completed reply we still can, then close the
+    // writers (clients see EOF) and stop the accept loops.
+    shutdown.store(true, Ordering::Relaxed);
+    backend.settle(&mut out)?;
+    route_replies(backend, &mut out, &mut conns);
+    drop(conns);
+    for t in accept_threads {
+        let _ = t.join();
+    }
+    backend.summary_mut().accept_retries += retries.load(Ordering::Relaxed);
+    match fatal {
+        Some(what) => Err(what),
+        None => Ok(()),
+    }
+}
+
+/// The dispatcher: handles each event, then pumps the backend and routes
+/// whatever completed. Returns `Ok(Some(what))` when a listener failed
+/// unrecoverably, `Ok(None)` on a stop request, a halt or disconnection.
+fn dispatch_loop(
+    backend: &mut Backend,
+    rx: &mpsc::Receiver<NetEvent>,
+    caps: ConnCaps,
+    conns: &mut HashMap<u64, ConnState>,
+    out: &mut Vec<(u64, String)>,
+) -> Result<Option<String>, String> {
     let throttle = backend.throttle_ms();
-    let mut fatal: Option<String> = None;
     loop {
         if stop_requested() || backend.halted() {
-            break;
+            return Ok(None);
         }
-        // With results outstanding, poll the pool at ~1ms so closed-loop
-        // clients (blocked on their reply, generating no net events) are
-        // answered as soon as the worker finishes; idle, back off to a
-        // cheap 100ms signal-check heartbeat.
-        let tick = if backend.busy() {
-            Duration::from_millis(1)
-        } else {
-            Duration::from_millis(100)
-        };
-        match rx.recv_timeout(tick) {
+        match rx.recv_timeout(HEARTBEAT) {
             Ok(NetEvent::Accepted {
                 conn,
                 outbox,
@@ -539,7 +576,7 @@ pub fn run_connections(backend: &mut Backend, listeners: Vec<AnyListener>) -> Re
                 if throttle > 0 {
                     std::thread::sleep(Duration::from_millis(throttle));
                 }
-                backend.submit(conn, offset, &line, &mut out)?;
+                backend.submit(conn, offset, &line, out)?;
             }
             Ok(NetEvent::Oversize { conn }) => {
                 if let Some(state) = conns.remove(&conn) {
@@ -567,31 +604,12 @@ pub fn run_connections(backend: &mut Backend, listeners: Vec<AnyListener>) -> Re
                     }
                 }
             }
-            Ok(NetEvent::AcceptFatal { what }) => {
-                fatal = Some(what);
-                break;
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                backend.pump(&mut out)?;
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            Ok(NetEvent::AcceptFatal { what }) => return Ok(Some(what)),
+            Ok(NetEvent::Wake) | Err(mpsc::RecvTimeoutError::Timeout) => {}
+            Err(mpsc::RecvTimeoutError::Disconnected) => return Ok(None),
         }
-        route_replies(backend, &mut out, &mut conns);
-    }
-
-    // Drain: deliver every completed reply we still can, then close the
-    // writers (clients see EOF) and stop the accept loops.
-    shutdown.store(true, Ordering::Relaxed);
-    backend.settle(&mut out)?;
-    route_replies(backend, &mut out, &mut conns);
-    drop(conns);
-    for t in accept_threads {
-        let _ = t.join();
-    }
-    backend.summary_mut().accept_retries += retries.load(Ordering::Relaxed);
-    match fatal {
-        Some(what) => Err(what),
-        None => Ok(()),
+        backend.pump(out)?;
+        route_replies(backend, out, conns);
     }
 }
 

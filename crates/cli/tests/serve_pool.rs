@@ -413,3 +413,104 @@ fn concurrent_socket_clients_interleave() {
     assert!(out.status.success(), "{out:?}");
     let _ = std::fs::remove_file(&sock);
 }
+
+/// Median of a sample of round-trip times.
+fn median(mut samples: Vec<Duration>) -> Duration {
+    samples.sort();
+    samples[samples.len() / 2]
+}
+
+/// Pooled replies must reach a closed-loop client as soon as the worker
+/// finishes: one connection sending each `job` only after the previous
+/// reply arrived generates no other event that could wake the daemon, so
+/// any timer-driven dispatch shows up directly in the round trip.
+#[test]
+fn pooled_socket_replies_without_waiting_for_a_tick() {
+    let sock = scratch("rtt-sock");
+    let mut child = Command::new(bin())
+        .args(["serve", "--workers", "2", "--socket"])
+        .arg(&sock)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn socket daemon");
+
+    let mut s = await_socket(&sock);
+    let mut reader = BufReader::new(s.try_clone().expect("clone"));
+    let mut ask = |req: String| {
+        let start = Instant::now();
+        writeln!(s, "{req}").expect("write");
+        s.flush().expect("flush");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read");
+        (line, start.elapsed())
+    };
+    let (reply, _) = ask("open rtt eager".into());
+    assert!(reply.starts_with("ok open rtt "), "{reply}");
+    let mut rtts = Vec::new();
+    for j in 0..300 {
+        let (reply, rtt) = ask(format!("job rtt {j},{},1", j + 5));
+        assert!(
+            reply.starts_with(&format!("ok job rtt id=J{j} ")),
+            "{reply}"
+        );
+        rtts.push(rtt);
+    }
+    let (reply, _) = ask("close rtt".into());
+    assert!(reply.starts_with("ok close rtt"), "{reply}");
+
+    let med = median(rtts);
+    let out = terminate(&mut child);
+    assert!(out.status.success(), "{out:?}");
+    let _ = std::fs::remove_file(&sock);
+    assert!(
+        med < Duration::from_micros(500),
+        "median socket round trip at --workers 2 is {med:?}; want < 0.5 ms"
+    );
+}
+
+/// The stdin frontend at `--workers 2`: an interactive client writing one
+/// request at a time must get each reply without waiting for the next
+/// line or the 100 ms signal heartbeat.
+#[test]
+fn pooled_stdin_replies_without_waiting_for_the_heartbeat() {
+    let log = scratch("stdin-log");
+    let mut child = Command::new(bin())
+        .args(["serve", "--workers", "2", "--log"])
+        .arg(&log)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn stdin daemon");
+    let mut stdin = child.stdin.take().expect("stdin");
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout"));
+    let mut ask = |req: String| {
+        let start = Instant::now();
+        writeln!(stdin, "{req}").expect("write");
+        stdin.flush().expect("flush");
+        let mut line = String::new();
+        stdout.read_line(&mut line).expect("read");
+        (line, start.elapsed())
+    };
+    let (reply, _) = ask("open in eager".into());
+    assert!(reply.starts_with("ok open in "), "{reply}");
+    let mut rtts = Vec::new();
+    for j in 0..20 {
+        let (reply, rtt) = ask(format!("job in {j},{},1", j + 5));
+        assert!(reply.starts_with(&format!("ok job in id=J{j} ")), "{reply}");
+        rtts.push(rtt);
+    }
+    let (reply, _) = ask("close in".into());
+    assert!(reply.starts_with("ok close in"), "{reply}");
+    drop(stdin);
+    let status = child.wait().expect("wait for daemon");
+    assert!(status.success(), "{status:?}");
+    let _ = std::fs::remove_file(&log);
+
+    let med = median(rtts);
+    assert!(
+        med < Duration::from_millis(20),
+        "median stdin round trip at --workers 2 is {med:?}; want < 20 ms"
+    );
+}

@@ -27,10 +27,32 @@
 //! CLI's dispatcher owns parsing, admission (session-count limits need
 //! the global open-set, which only the dispatcher sees in input order),
 //! journaling and rendering.
+//!
+//! # Waking the dispatcher
+//!
+//! A frontend that blocks on its own event source (socket lines, stdin)
+//! learns about finished work through a **waker** installed with
+//! [`SessionPool::set_waker`]: after a worker puts a reply on the result
+//! channel it swaps a shared `armed` flag to `false` and, if the flag was
+//! set, calls the waker. So at most one wake is outstanding until the
+//! dispatcher re-arms with [`SessionPool::rearm_waker`], which it does
+//! *before* draining [`SessionPool::try_recv`].
+//!
+//! No reply is ever stranded, because the reply is sent before the flag
+//! is swapped and the re-arm happens before the drain. Take a reply `R`
+//! and the swap its worker makes after sending it. If that swap finds the
+//! flag set, it fires a wake, and the drain that wake triggers runs after
+//! `R` was sent. If it finds the flag clear, another swap cleared it since
+//! the last re-arm and fired a wake, so the dispatcher will pump again;
+//! that pump's re-arm is later than the last one, hence later than `R`'s
+//! swap, and the drain after it sees `R`. Both sides swap with
+//! acquire/release ordering, so a re-arm that reads a worker's cleared
+//! flag also sees that worker's send. A wake may be spurious (an earlier
+//! drain already took its reply); an empty drain is harmless.
 
 use std::collections::BTreeMap;
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use super::governor::{tenant_of, TenantQuotas, TenantShedCause};
@@ -365,6 +387,32 @@ impl Worker {
     }
 }
 
+/// A callback that wakes the thread draining the pool's replies. It runs
+/// on a worker thread and must never block.
+pub type Waker = Box<dyn Fn() + Send + Sync>;
+
+/// The waker shared by every worker, and the flag that coalesces its
+/// calls (see the module docs).
+#[derive(Default)]
+struct WakeSlot {
+    armed: AtomicBool,
+    waker: Mutex<Option<Waker>>,
+}
+
+impl WakeSlot {
+    /// Called by a worker after its reply is on the result channel.
+    fn notify(&self) {
+        if self.armed.swap(false, Ordering::AcqRel) {
+            // Calling under the lock is what makes `set_waker(None)` final:
+            // once it returns, no worker is inside the old waker.
+            let waker = self.waker.lock().unwrap_or_else(|e| e.into_inner());
+            if let Some(wake) = waker.as_ref() {
+                wake();
+            }
+        }
+    }
+}
+
 /// The pool: `workers` resident threads, per-worker FIFO request
 /// channels, one shared reply channel tagged with global sequence
 /// numbers. Scheduler panics are already contained inside [`Session`];
@@ -374,6 +422,7 @@ pub struct SessionPool {
     txs: Vec<mpsc::Sender<Task>>,
     rx: mpsc::Receiver<(u64, PoolReply)>,
     handles: Vec<std::thread::JoinHandle<WorkerReport>>,
+    wake: Arc<WakeSlot>,
 }
 
 impl SessionPool {
@@ -391,12 +440,14 @@ impl SessionPool {
     ) -> SessionPool {
         let workers = workers.max(1);
         let (reply_tx, rx) = mpsc::channel::<(u64, PoolReply)>();
+        let wake = Arc::new(WakeSlot::default());
         let mut txs = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
             let (tx, task_rx) = mpsc::channel::<Task>();
             let reply_tx = reply_tx.clone();
             let factory = Arc::clone(&factory);
+            let wake = Arc::clone(&wake);
             handles.push(std::thread::spawn(move || {
                 let mut w = Worker {
                     sessions: BTreeMap::new(),
@@ -410,12 +461,36 @@ impl SessionPool {
                     if reply_tx.send((task.seq, reply)).is_err() {
                         break;
                     }
+                    wake.notify();
                 }
                 w.report
             }));
             txs.push(tx);
         }
-        SessionPool { txs, rx, handles }
+        SessionPool {
+            txs,
+            rx,
+            handles,
+            wake,
+        }
+    }
+
+    /// Installs (`Some`) or removes (`None`) the callback a worker makes
+    /// after putting a reply on the result channel, and arms it. Calls
+    /// are coalesced: after one wake, the next fires only once
+    /// [`SessionPool::rearm_waker`] has run. Once this returns with
+    /// `None`, the previous waker is never called again.
+    pub fn set_waker(&self, waker: Option<Waker>) {
+        *self.wake.waker.lock().unwrap_or_else(|e| e.into_inner()) = waker;
+        self.rearm_waker();
+    }
+
+    /// Re-arms the waker. Call it *before* draining [`SessionPool::try_recv`]:
+    /// a reply that lands after the drain then fires a fresh wake.
+    pub fn rearm_waker(&self) {
+        // A swap, not a store: reading a worker's cleared flag must
+        // synchronize with that worker's send (see the module docs).
+        self.wake.armed.swap(true, Ordering::AcqRel);
     }
 
     /// Number of workers.
@@ -464,6 +539,7 @@ mod tests {
     use crate::sim::env::Clairvoyance;
     use crate::sim::sched::{Arrival, Ctx, OnlineScheduler};
     use crate::time::{dur, t};
+    use std::sync::atomic::AtomicUsize;
 
     struct Eager;
     impl OnlineScheduler for Eager {
@@ -790,6 +866,111 @@ mod tests {
                 limit: 9,
             }) => assert_eq!(tenant, "t"),
             other => panic!("want byte shed, got {other:?}"),
+        }
+        pool.shutdown();
+    }
+
+    /// A cheap request: a stats probe of a session nobody opened.
+    fn probe() -> PoolRequest {
+        PoolRequest::Stats {
+            sid: "ghost".into(),
+        }
+    }
+
+    /// Installs a waker that counts its calls and signals each one.
+    fn counting_waker(pool: &SessionPool) -> (Arc<AtomicUsize>, mpsc::Receiver<()>) {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let (tx, rx) = mpsc::channel();
+        let counter = Arc::clone(&calls);
+        pool.set_waker(Some(Box::new(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+            let _ = tx.send(());
+        })));
+        (calls, rx)
+    }
+
+    const WAIT: Duration = Duration::from_secs(5);
+
+    #[test]
+    fn reply_is_ready_when_the_waker_fires() {
+        let pool = SessionPool::new(2, 1024, TenantQuotas::off(), factory());
+        let (_, wakes) = counting_waker(&pool);
+        for seq in 0..50u64 {
+            pool.rearm_waker();
+            pool.submit((seq % 2) as usize, seq, probe()).unwrap();
+            wakes.recv_timeout(WAIT).expect("wake");
+            let (got, reply) = pool.try_recv().expect("reply sent before the wake");
+            assert_eq!(got, seq);
+            assert!(matches!(reply, PoolReply::NoSession));
+        }
+        pool.shutdown();
+    }
+
+    #[test]
+    fn wakes_coalesce_until_rearmed() {
+        let pool = SessionPool::new(1, 1024, TenantQuotas::off(), factory());
+        let (calls, wakes) = counting_waker(&pool);
+        for seq in 0..20u64 {
+            pool.submit(0, seq, probe()).unwrap();
+        }
+        for _ in 0..20 {
+            pool.recv_timeout(WAIT).expect("reply");
+        }
+        wakes.recv_timeout(WAIT).expect("first completion wakes");
+        // Give the last worker swap time to land: with no re-arm, nothing
+        // may wake again however long we wait.
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "20 completions, one wake");
+
+        pool.rearm_waker();
+        pool.submit(0, 20, probe()).unwrap();
+        wakes.recv_timeout(WAIT).expect("re-armed completion wakes");
+        assert_eq!(pool.recv_timeout(WAIT).map(|(seq, _)| seq), Some(20));
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn uninstalled_waker_is_never_called() {
+        let pool = SessionPool::new(2, 1024, TenantQuotas::off(), factory());
+        let (calls, _wakes) = counting_waker(&pool);
+        pool.set_waker(None);
+        for seq in 0..20u64 {
+            pool.rearm_waker();
+            pool.submit((seq % 2) as usize, seq, probe()).unwrap();
+            pool.recv_timeout(WAIT).expect("reply");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(calls.load(Ordering::SeqCst), 0);
+        pool.shutdown();
+    }
+
+    /// The dispatcher's loop in miniature: block on the wake, re-arm,
+    /// drain. Both workers complete concurrently every round, so their
+    /// swaps race each other and the re-arm; a lost wakeup would leave a
+    /// reply stranded and the wait would time out.
+    #[test]
+    fn no_wakeup_is_lost_under_racing_completions() {
+        let pool = SessionPool::new(2, 1024, TenantQuotas::off(), factory());
+        let (_, wakes) = counting_waker(&pool);
+        let mut seq = 0u64;
+        for round in 0..10_000 {
+            for worker in 0..2 {
+                pool.submit(worker, seq, probe()).unwrap();
+                seq += 1;
+            }
+            let mut drained = 0;
+            while drained < 2 {
+                wakes
+                    .recv_timeout(WAIT)
+                    .unwrap_or_else(|_| panic!("round {round}: wakeup lost"));
+                pool.rearm_waker();
+                while pool.try_recv().is_some() {
+                    drained += 1;
+                }
+            }
+            assert_eq!(drained, 2, "round {round}");
         }
         pool.shutdown();
     }
