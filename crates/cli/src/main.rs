@@ -962,7 +962,7 @@ fn cmd_soak(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
-    use fjs_cli::serve::{install_drain_handlers, net, run_stream, Backend, ServeOptions, Sink};
+    use fjs_cli::serve::{install_drain_handlers, run_stream, Backend, ServeOptions, Sink};
     use fjs_core::service::ServeJournal;
     use std::io::BufWriter;
 
@@ -1117,30 +1117,30 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     install_drain_handlers();
 
     if socket.is_some() || tcp.is_some() {
-        let mut listeners = Vec::new();
-        if let Some(sock) = &socket {
-            #[cfg(unix)]
-            match net::bind_unix(sock) {
-                Ok(l) => listeners.push(l),
-                Err(net::SocketClaimError::Live(msg)) => {
-                    return Err(CliError::Usage(Some(format!("serve: {msg}"))));
-                }
-                Err(net::SocketClaimError::Io(msg)) => {
-                    return Err(CliError::Runtime(format!("serve: {msg}")));
+        #[cfg(not(unix))]
+        return Err(CliError::Runtime(
+            "serve: --socket and --tcp need a unix target".into(),
+        ));
+        #[cfg(unix)]
+        {
+            use fjs_cli::serve::net;
+            let mut listeners = Vec::new();
+            if let Some(sock) = &socket {
+                match net::bind_unix(sock) {
+                    Ok(l) => listeners.push(l),
+                    Err(net::SocketClaimError::Live(msg)) => {
+                        return Err(CliError::Usage(Some(format!("serve: {msg}"))));
+                    }
+                    Err(net::SocketClaimError::Io(msg)) => {
+                        return Err(CliError::Runtime(format!("serve: {msg}")));
+                    }
                 }
             }
-            #[cfg(not(unix))]
-            {
-                let _ = sock;
-                return Err(CliError::Runtime(
-                    "serve: --socket needs unix domain sockets".into(),
-                ));
+            if let Some(addr) = &tcp {
+                listeners.push(net::bind_tcp(addr).map_err(CliError::Runtime)?);
             }
+            net::run_connections(&mut backend, listeners).map_err(CliError::Runtime)?;
         }
-        if let Some(addr) = &tcp {
-            listeners.push(net::bind_tcp(addr).map_err(CliError::Runtime)?);
-        }
-        net::run_connections(&mut backend, listeners).map_err(CliError::Runtime)?;
     } else if let Some(path) = input {
         let f = std::fs::File::open(&path)
             .map_err(|e| CliError::Runtime(format!("cannot open {path}: {e}")))?;

@@ -30,6 +30,7 @@
 //!   concurrently (unix and TCP) and survive per-connection failures.
 
 pub mod dispatch;
+#[cfg(unix)]
 pub mod net;
 pub mod protocol;
 

@@ -1,67 +1,64 @@
 //! Socket frontends for `fjs serve`: concurrent connections over unix
 //! sockets and TCP, speaking the same line protocol.
 //!
-//! Topology: one accept thread per listener, one reader thread and one
-//! writer thread per connection. Readers split the byte stream into
-//! lines and feed a **bounded** event channel (so a flood of clients
-//! exerts backpressure instead of growing an unbounded queue); the
-//! dispatching thread submits each line to the [`Backend`] and routes
-//! completed replies to the owning connection's writer. Pooled work that
-//! completes posts a `Wake` on the same channel (never blocking: a full
-//! queue drops it), and the dispatcher pumps the backend after *every*
-//! event, so a dropped wake is covered by the pump after the event that
-//! filled the queue. Its only timer is a 100 ms heartbeat that checks
-//! for a stop signal. Each connection
-//! has its own byte-offset space; the protocol line counter is global,
-//! so journal resume cursors only apply to file/stdin frontends (socket
-//! input is not re-readable).
+//! Topology: one `poll(2)` loop on the calling thread serves every
+//! listener and connection; the daemon runs no thread per listener or
+//! connection. Listeners and connections are nonblocking and share the
+//! poll set with one end of a socketpair, to which completed pooled work
+//! writes a byte (the pool coalesces those wakes), so a completion wakes
+//! the loop just as a request does. A readable connection is read once
+//! and its complete lines go to the [`Backend`]; after every wakeup the
+//! loop pumps the backend, appends each reply to its connection's output
+//! buffer and flushes each buffer with one nonblocking `write`. The only
+//! timer is a 100 ms heartbeat for the stop flag, and a signal interrupts
+//! `poll`, so a stop is seen at once. Each connection has its own
+//! byte-offset space; the protocol line counter is global, so journal
+//! resume cursors only apply to file/stdin frontends.
 //!
-//! Failure containment (the PR's bugfix contract):
+//! Failure containment:
 //!
 //! * a connection's read/write error (`ECONNRESET`, `EPIPE`, a client
 //!   killed mid-line) drops **that connection only** — counted in
 //!   [`ServeSummary::disconnects`](super::ServeSummary) — and the daemon
 //!   keeps serving everyone else;
-//! * a client that streams bytes without ever sending a newline can no
-//!   longer grow the reader's accumulator without bound: once a frame
-//!   exceeds `--max-frame-bytes` the connection gets one
-//!   `err line-too-long` reply and is dropped (counted in
-//!   `oversize_disconnects`), leaving every other session untouched;
-//! * a client that stops draining its replies fills its **bounded**
-//!   writer queue (`--writer-queue`); rather than let one stalled reader
-//!   wedge the dispatcher, the connection is shut down and counted in
-//!   `slow_disconnects`;
+//! * a frame longer than `--max-frame-bytes` (a newline-less flood
+//!   included: the framer never holds more) gets one `err line-too-long`
+//!   reply and only that connection is dropped (`oversize_disconnects`);
+//! * a client that stops reading its replies is closed (counted in
+//!   `slow_disconnects`) when more than `--writer-queue` of them would
+//!   wait for the kernel to accept them, so it can neither wedge the loop
+//!   nor grow its buffer without bound;
+//! * after EOF or an oversize frame the loop stops reading a connection,
+//!   flushes the replies already routed to it, then drops it;
 //! * transient `accept()` failures (`EINTR`, `ECONNABORTED`,
-//!   `ECONNRESET`, `EMFILE`/`ENFILE` exhaustion) are retried with a
-//!   short backoff and counted, never fatal;
+//!   `ECONNRESET`, `EMFILE`/`ENFILE`) are counted and take only that
+//!   listener out of the poll set for a short backoff, never the loop;
 //! * binding a unix socket first **probes** an existing path with a
 //!   connect attempt: if another daemon answers, binding fails with
 //!   [`SocketClaimError::Live`] (the CLI exits 2) instead of silently
 //!   clobbering the live daemon's socket; only stale files are removed.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, SyncSender};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use super::Backend;
 use crate::soak::stop_requested;
 
-/// Bounded capacity of the line/event channel feeding the dispatcher.
-const EVENT_QUEUE: usize = 1024;
-
-/// How often an idle dispatcher wakes to check for a stop signal.
+/// How often an idle loop wakes to check for a stop signal.
 const HEARTBEAT: Duration = Duration::from_millis(100);
 
-/// Poll cadence for nonblocking accepts.
-const IDLE_TICK: Duration = Duration::from_millis(20);
-
-/// Backoff after a transient `accept()` failure.
+/// How long a listener sits out of the poll set after a transient
+/// `accept()` failure.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
+
+/// Bytes read from a connection per readiness.
+const READ_CHUNK: usize = 4096;
 
 /// Why a unix socket path could not be claimed.
 #[derive(Debug)]
@@ -87,32 +84,37 @@ pub enum AnyListener {
     /// TCP (`--tcp <addr>`).
     Tcp(TcpListener),
     /// Unix domain socket (`--socket <path>`); the path is removed when
-    /// the accept loop exits.
-    #[cfg(unix)]
-    Unix(std::os::unix::net::UnixListener, PathBuf),
+    /// the loop exits.
+    Unix(UnixListener, PathBuf),
 }
 
 impl AnyListener {
     fn set_nonblocking(&self) -> io::Result<()> {
         match self {
             AnyListener::Tcp(l) => l.set_nonblocking(true),
-            #[cfg(unix)]
             AnyListener::Unix(l, _) => l.set_nonblocking(true),
         }
     }
 
-    fn accept(&self) -> io::Result<AnyStream> {
+    fn fd(&self) -> i32 {
         match self {
-            AnyListener::Tcp(l) => l.accept().map(|(s, _)| {
+            AnyListener::Tcp(l) => l.as_raw_fd(),
+            AnyListener::Unix(l, _) => l.as_raw_fd(),
+        }
+    }
+
+    fn accept(&self) -> io::Result<Box<dyn Stream>> {
+        Ok(match self {
+            AnyListener::Tcp(l) => {
+                let (s, _) = l.accept()?;
                 // Replies are single lines a client is actively waiting
                 // for; leaving Nagle on would serialize closed-loop
                 // clients on delayed ACKs.
                 let _ = s.set_nodelay(true);
-                AnyStream::Tcp(s)
-            }),
-            #[cfg(unix)]
-            AnyListener::Unix(l, _) => l.accept().map(|(s, _)| AnyStream::Unix(s)),
-        }
+                Box::new(s)
+            }
+            AnyListener::Unix(l, _) => Box::new(l.accept()?.0),
+        })
     }
 
     fn describe(&self) -> String {
@@ -121,13 +123,11 @@ impl AnyListener {
                 .local_addr()
                 .map(|a| format!("tcp {a}"))
                 .unwrap_or_else(|_| "tcp".into()),
-            #[cfg(unix)]
             AnyListener::Unix(_, p) => format!("unix {}", p.display()),
         }
     }
 
     fn cleanup(&self) {
-        #[cfg(unix)]
         if let AnyListener::Unix(_, path) = self {
             let _ = std::fs::remove_file(path);
         }
@@ -135,77 +135,26 @@ impl AnyListener {
 }
 
 /// A connected stream of either family.
-enum AnyStream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(std::os::unix::net::UnixStream),
+trait Stream: Read + Write + AsRawFd {
+    fn make_nonblocking(&self) -> io::Result<()>;
 }
 
-impl AnyStream {
-    fn try_clone(&self) -> io::Result<AnyStream> {
-        match self {
-            AnyStream::Tcp(s) => s.try_clone().map(AnyStream::Tcp),
-            #[cfg(unix)]
-            AnyStream::Unix(s) => s.try_clone().map(AnyStream::Unix),
-        }
-    }
-
-    fn set_read_timeout(&self, d: Duration) -> io::Result<()> {
-        match self {
-            AnyStream::Tcp(s) => s.set_read_timeout(Some(d)),
-            #[cfg(unix)]
-            AnyStream::Unix(s) => s.set_read_timeout(Some(d)),
-        }
-    }
-
-    /// Tears the connection down from outside its reader/writer threads.
-    /// The writer may be blocked in `write` against a client that stopped
-    /// reading — dropping its channel would never wake it, but shutting
-    /// the socket down makes the syscall return an error immediately.
-    fn shutdown(&self) -> io::Result<()> {
-        match self {
-            AnyStream::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
-            #[cfg(unix)]
-            AnyStream::Unix(s) => s.shutdown(std::net::Shutdown::Both),
-        }
+impl Stream for TcpStream {
+    fn make_nonblocking(&self) -> io::Result<()> {
+        self.set_nonblocking(true)
     }
 }
 
-impl Read for AnyStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            AnyStream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            AnyStream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for AnyStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            AnyStream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            AnyStream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            AnyStream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            AnyStream::Unix(s) => s.flush(),
-        }
+impl Stream for UnixStream {
+    fn make_nonblocking(&self) -> io::Result<()> {
+        self.set_nonblocking(true)
     }
 }
 
 /// Claims a unix socket path: probes an existing file with a connect
 /// attempt, refuses if a daemon answers, removes only stale leftovers,
 /// then binds.
-#[cfg(unix)]
 pub fn bind_unix(path: &std::path::Path) -> Result<AnyListener, SocketClaimError> {
-    use std::os::unix::net::{UnixListener, UnixStream};
-
     if path.exists() {
         match UnixStream::connect(path) {
             Ok(_) => {
@@ -247,34 +196,6 @@ fn transient_accept(e: &io::Error) -> bool {
             | io::ErrorKind::ConnectionReset
             | io::ErrorKind::TimedOut
     ) || matches!(e.raw_os_error(), Some(23) | Some(24) | Some(105))
-}
-
-enum NetEvent {
-    Accepted {
-        conn: u64,
-        outbox: SyncSender<String>,
-        kill: AnyStream,
-        depth: Arc<AtomicUsize>,
-    },
-    Line {
-        conn: u64,
-        offset: u64,
-        line: String,
-    },
-    /// The connection exceeded the frame-length cap; the dispatcher
-    /// answers `err line-too-long` and drops only this connection.
-    Oversize {
-        conn: u64,
-    },
-    Closed {
-        conn: u64,
-        errored: bool,
-    },
-    AcceptFatal {
-        what: String,
-    },
-    /// Pooled work completed; the dispatcher pumps the backend.
-    Wake,
 }
 
 /// Splits a byte stream into newline-terminated frames with a hard cap
@@ -325,341 +246,413 @@ impl LineFramer {
     }
 }
 
-/// The per-connection reader: splits the stream into capped frames (each
-/// frame's byte offset tracked within this connection) and feeds the
-/// shared event channel. A read error or EOF reports `Closed`, an
-/// oversize frame reports `Oversize`; either ends the thread — never
-/// the daemon.
-fn reader_loop(
-    mut stream: AnyStream,
-    conn: u64,
-    max_frame: usize,
-    tx: SyncSender<NetEvent>,
-    shutdown: Arc<AtomicBool>,
-) {
-    let mut framer = LineFramer::new(max_frame);
-    let mut chunk = [0u8; 4096];
-    let errored = loop {
-        if shutdown.load(Ordering::Relaxed) {
-            break false;
+/// `poll(2)`, declared by hand (like `signal(2)` in `serve/mod.rs`) so
+/// the workspace stays free of external crates.
+mod sys {
+    use std::io;
+    use std::time::Duration;
+
+    pub const POLLIN: i16 = 0x1;
+    pub const POLLOUT: i16 = 0x4;
+    pub const POLLERR: i16 = 0x8;
+    pub const POLLHUP: i16 = 0x10;
+
+    /// `struct pollfd`.
+    #[repr(C)]
+    pub struct PollFd {
+        pub fd: i32,
+        pub events: i16,
+        pub revents: i16,
+    }
+
+    #[cfg(target_os = "linux")]
+    type Nfds = std::os::raw::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type Nfds = std::os::raw::c_uint;
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: i32) -> i32;
+    }
+
+    /// Waits up to `timeout` (rounded up to whole milliseconds) for
+    /// readiness on `fds`. An interrupted wait (`EINTR`) reports nothing
+    /// ready, so the caller sees a signal's stop request at once.
+    pub fn wait(fds: &mut [PollFd], timeout: Duration) -> io::Result<()> {
+        let ms = timeout.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32;
+        // SAFETY: `fds` is an exclusively borrowed array of `repr(C)`
+        // `pollfd` records, and its length is the count passed.
+        if unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, ms) } >= 0 {
+            return Ok(());
         }
-        let n = match stream.read(&mut chunk) {
-            // EOF at a line boundary is a clean close; EOF with a
-            // partial request buffered means the client died mid-line —
-            // data was lost, so it counts as a dropped connection.
-            Ok(0) => break framer.partial(),
-            Ok(n) => n,
+        let e = io::Error::last_os_error();
+        if e.kind() == io::ErrorKind::Interrupted {
+            Ok(())
+        } else {
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => break true,
-        };
-        let (lines, oversize) = framer.push(&chunk[..n]);
-        for (offset, line) in lines {
-            if tx.send(NetEvent::Line { conn, offset, line }).is_err() {
-                return; // dispatcher is gone; we are shutting down
-            }
-        }
-        if oversize {
-            // The dispatcher replies `err line-too-long` and drops the
-            // connection's outbox; no Closed event follows from here.
-            let _ = tx.send(NetEvent::Oversize { conn });
-            return;
-        }
-    };
-    // A partial trailing line (client died mid-line) is dropped, never
-    // dispatched: the protocol is strictly line-framed.
-    let _ = tx.send(NetEvent::Closed { conn, errored });
-}
-
-/// The per-connection writer: relays routed replies; a write error
-/// (`EPIPE` to a dead client) reports `Closed` and ends the thread.
-fn writer_loop(
-    mut stream: AnyStream,
-    conn: u64,
-    replies: mpsc::Receiver<String>,
-    depth: Arc<AtomicUsize>,
-    tx: SyncSender<NetEvent>,
-) {
-    while let Ok(reply) = replies.recv() {
-        depth.fetch_sub(1, Ordering::Relaxed);
-        if writeln!(stream, "{reply}")
-            .and_then(|_| stream.flush())
-            .is_err()
-        {
-            let _ = tx.send(NetEvent::Closed {
-                conn,
-                errored: true,
-            });
-            return;
         }
     }
 }
 
-fn accept_loop(
-    listener: AnyListener,
-    caps: ConnCaps,
-    tx: SyncSender<NetEvent>,
-    shutdown: Arc<AtomicBool>,
-    ids: Arc<AtomicU64>,
-    retries: Arc<AtomicU64>,
-) {
-    if let Err(e) = listener.set_nonblocking() {
-        let _ = tx.send(NetEvent::AcceptFatal {
-            what: format!("{}: {e}", listener.describe()),
-        });
-        listener.cleanup();
-        return;
+/// One connection as the loop sees it.
+struct Conn {
+    stream: Box<dyn Stream>,
+    framer: LineFramer,
+    /// False once EOF or an oversize frame was read: the loop flushes
+    /// what is queued, then drops the connection.
+    reading: bool,
+    /// Reply bytes the kernel has not accepted yet.
+    unsent: Vec<u8>,
+    /// Bytes the kernel has accepted since the connection opened.
+    written: u64,
+    /// Where each reply still in `unsent` ends, on the `written` scale;
+    /// its length is the writer-queue depth.
+    ends: VecDeque<u64>,
+    /// The last write left bytes behind: wait for `POLLOUT`.
+    blocked: bool,
+}
+
+impl Conn {
+    fn new(stream: Box<dyn Stream>, max_frame: usize) -> Conn {
+        Conn {
+            stream,
+            framer: LineFramer::new(max_frame),
+            reading: true,
+            unsent: Vec::new(),
+            written: 0,
+            ends: VecDeque::new(),
+            blocked: false,
+        }
     }
-    while !shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok(stream) => {
-                let conn = ids.fetch_add(1, Ordering::Relaxed);
-                if let Err(e) = spawn_connection(stream, conn, caps, &tx, &shutdown) {
-                    // Setting up this one connection failed; it alone is
-                    // dropped.
-                    let _ = tx.send(NetEvent::Closed {
-                        conn,
-                        errored: true,
-                    });
-                    let _ = e;
+
+    fn queue(&mut self, reply: &str) {
+        self.unsent.extend_from_slice(reply.as_bytes());
+        self.unsent.push(b'\n');
+        self.ends.push_back(self.written + self.unsent.len() as u64);
+    }
+
+    /// Offers everything queued to the kernel in one nonblocking `write`.
+    fn flush(&mut self) -> io::Result<()> {
+        if !self.unsent.is_empty() {
+            match self.stream.write(&self.unsent) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    self.unsent.drain(..n);
+                    self.written += n as u64;
+                    while self.ends.front().is_some_and(|&end| end <= self.written) {
+                        self.ends.pop_front();
+                    }
                 }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(IDLE_TICK);
-            }
-            Err(e) if transient_accept(&e) => {
-                retries.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(ACCEPT_BACKOFF);
-            }
-            Err(e) => {
-                let _ = tx.send(NetEvent::AcceptFatal {
-                    what: format!("accept on {}: {e}", listener.describe()),
-                });
-                break;
+                Err(e) if is_retry(&e) => {}
+                Err(e) => return Err(e),
             }
         }
+        self.blocked = !self.unsent.is_empty();
+        Ok(())
     }
-    listener.cleanup();
 }
 
-/// Per-connection resource caps, read once from the backend's options.
+/// Errors that mean "not now" on a nonblocking descriptor.
+fn is_retry(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+    )
+}
+
+/// Bookkeeping for a connection dropped by an I/O error. One still being
+/// read is forgotten by the backend and counted; after EOF or an oversize
+/// frame it already was, and a failed flush of its last replies is not a
+/// second disconnect.
+fn count_lost(backend: &mut Backend, id: u64, reading: bool) {
+    if reading {
+        backend.forget_conn(id);
+        backend.summary_mut().disconnects += 1;
+    }
+}
+
+/// What a poll-set entry stands for.
 #[derive(Clone, Copy)]
-struct ConnCaps {
+enum Token {
+    Waker,
+    Listener(usize),
+    Conn(u64),
+}
+
+/// The loop's state: listeners, live connections and replies not yet
+/// queued on their connection.
+struct Reactor {
+    /// Each listener, and when it rejoins the poll set after a transient
+    /// `accept()` failure.
+    listeners: Vec<(AnyListener, Option<Instant>)>,
+    conns: BTreeMap<u64, Conn>,
+    next_conn: u64,
     max_frame: usize,
     writer_queue: usize,
-}
-
-fn spawn_connection(
-    stream: AnyStream,
-    conn: u64,
-    caps: ConnCaps,
-    tx: &SyncSender<NetEvent>,
-    shutdown: &Arc<AtomicBool>,
-) -> io::Result<()> {
-    stream.set_read_timeout(Duration::from_millis(100))?;
-    let writer_stream = stream.try_clone()?;
-    let kill = stream.try_clone()?;
-    let (outbox, replies) = mpsc::sync_channel::<String>(caps.writer_queue.max(1));
-    let depth = Arc::new(AtomicUsize::new(0));
-    if tx
-        .send(NetEvent::Accepted {
-            conn,
-            outbox,
-            kill,
-            depth: Arc::clone(&depth),
-        })
-        .is_err()
-    {
-        return Ok(()); // dispatcher is gone; we are shutting down
-    }
-    {
-        let tx = tx.clone();
-        let shutdown = Arc::clone(shutdown);
-        std::thread::spawn(move || reader_loop(stream, conn, caps.max_frame, tx, shutdown));
-    }
-    {
-        let tx = tx.clone();
-        std::thread::spawn(move || writer_loop(writer_stream, conn, replies, depth, tx));
-    }
-    Ok(())
+    /// Completed `(conn, reply)` pairs from the backend.
+    out: Vec<(u64, String)>,
 }
 
 /// Serves all `listeners` concurrently against `backend` until a stop is
 /// requested (`SIGINT`/`SIGTERM`), the backend halts, or a listener
 /// fails unrecoverably. Per-connection failures never propagate.
 pub fn run_connections(backend: &mut Backend, listeners: Vec<AnyListener>) -> Result<(), String> {
-    let (tx, rx) = mpsc::sync_channel::<NetEvent>(EVENT_QUEUE);
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let ids = Arc::new(AtomicU64::new(1));
-    let retries = Arc::new(AtomicU64::new(0));
-    let caps = ConnCaps {
+    let mut reactor = Reactor {
+        listeners: listeners.into_iter().map(|l| (l, None)).collect(),
+        conns: BTreeMap::new(),
+        next_conn: 1,
         max_frame: backend.max_frame_bytes(),
-        writer_queue: backend.writer_queue(),
+        writer_queue: backend.writer_queue().max(1),
+        out: Vec::new(),
     };
-    let mut accept_threads = Vec::new();
-    for listener in listeners {
-        let tx = tx.clone();
-        let shutdown = Arc::clone(&shutdown);
-        let ids = Arc::clone(&ids);
-        let retries = Arc::clone(&retries);
-        accept_threads.push(std::thread::spawn(move || {
-            accept_loop(listener, caps, tx, shutdown, ids, retries)
-        }));
+    let result = reactor.run(backend);
+    for (listener, _) in &reactor.listeners {
+        listener.cleanup();
     }
-
-    // The waker holds a sender, so it must be uninstalled on every exit
-    // from the loop, error returns included.
-    let wake_tx = tx.clone();
-    backend.set_waker(Some(Box::new(move || {
-        let _ = wake_tx.try_send(NetEvent::Wake);
-    })));
-    drop(tx);
-
-    let mut conns: HashMap<u64, ConnState> = HashMap::new();
-    let mut out: Vec<(u64, String)> = Vec::new();
-    let dispatched = dispatch_loop(backend, &rx, caps, &mut conns, &mut out);
-    backend.set_waker(None);
-    let fatal = dispatched?;
-
-    // Drain: deliver every completed reply we still can, then close the
-    // writers (clients see EOF) and stop the accept loops.
-    shutdown.store(true, Ordering::Relaxed);
-    backend.settle(&mut out)?;
-    route_replies(backend, &mut out, &mut conns);
-    drop(conns);
-    for t in accept_threads {
-        let _ = t.join();
-    }
-    backend.summary_mut().accept_retries += retries.load(Ordering::Relaxed);
-    match fatal {
-        Some(what) => Err(what),
-        None => Ok(()),
-    }
+    result
 }
 
-/// The dispatcher: handles each event, then pumps the backend and routes
-/// whatever completed. Returns `Ok(Some(what))` when a listener failed
-/// unrecoverably, `Ok(None)` on a stop request, a halt or disconnection.
-fn dispatch_loop(
-    backend: &mut Backend,
-    rx: &mpsc::Receiver<NetEvent>,
-    caps: ConnCaps,
-    conns: &mut HashMap<u64, ConnState>,
-    out: &mut Vec<(u64, String)>,
-) -> Result<Option<String>, String> {
-    let throttle = backend.throttle_ms();
-    loop {
-        if stop_requested() || backend.halted() {
-            return Ok(None);
+impl Reactor {
+    fn run(&mut self, backend: &mut Backend) -> Result<(), String> {
+        for (listener, _) in &self.listeners {
+            listener
+                .set_nonblocking()
+                .map_err(|e| format!("{}: {e}", listener.describe()))?;
         }
-        match rx.recv_timeout(HEARTBEAT) {
-            Ok(NetEvent::Accepted {
-                conn,
-                outbox,
-                kill,
-                depth,
-            }) => {
-                conns.insert(
-                    conn,
-                    ConnState {
-                        outbox,
-                        kill,
-                        depth,
-                    },
-                );
-                backend.summary_mut().connections += 1;
+        let (wake_rx, wake_tx) = UnixStream::pair()
+            .and_then(|(rx, tx)| {
+                rx.set_nonblocking(true)?;
+                tx.set_nonblocking(true)?;
+                Ok((rx, Arc::new(tx)))
+            })
+            .map_err(|e| format!("serve: waker socketpair: {e}"))?;
+        // The loop holds the write end too: the serial backend drops its
+        // waker at once, and a closed write end would leave the read end
+        // readable forever. A full socketpair already wakes the loop.
+        let tx = Arc::clone(&wake_tx);
+        backend.set_waker(Some(Box::new(move || {
+            let _ = (&*tx).write(&[1]);
+        })));
+        let served = self.serve(backend, &wake_rx);
+        backend.set_waker(None);
+        let fatal = served?;
+
+        // Drain: deliver every completed reply the kernel takes now; the
+        // connections close (clients see EOF) when the reactor drops.
+        backend.settle(&mut self.out)?;
+        self.route(backend);
+        self.flush_all(backend);
+        fatal.map_or(Ok(()), Err)
+    }
+
+    /// The loop proper. Returns `Ok(Some(what))` when a listener failed
+    /// unrecoverably, `Ok(None)` on a stop request or a halt.
+    fn serve(
+        &mut self,
+        backend: &mut Backend,
+        waker: &UnixStream,
+    ) -> Result<Option<String>, String> {
+        use sys::{PollFd, POLLIN, POLLOUT};
+
+        let throttle = backend.throttle_ms();
+        let mut fds: Vec<PollFd> = Vec::new();
+        let mut tokens: Vec<Token> = Vec::new();
+        loop {
+            if stop_requested() || backend.halted() {
+                return Ok(None);
             }
-            Ok(NetEvent::Line { conn, offset, line }) => {
-                if throttle > 0 {
-                    std::thread::sleep(Duration::from_millis(throttle));
-                }
-                backend.submit(conn, offset, &line, out)?;
-            }
-            Ok(NetEvent::Oversize { conn }) => {
-                if let Some(state) = conns.remove(&conn) {
-                    // One diagnostic reply, then the writer drains and
-                    // exits as its channel closes. Only this connection
-                    // is affected. The gauge increment keeps the writer's
-                    // per-recv decrement balanced.
-                    state.depth.fetch_add(1, Ordering::Relaxed);
-                    if state
-                        .outbox
-                        .try_send(super::wire::line_too_long(caps.max_frame))
-                        .is_err()
-                    {
-                        state.depth.fetch_sub(1, Ordering::Relaxed);
-                    }
-                    backend.forget_conn(conn);
-                    backend.summary_mut().oversize_disconnects += 1;
-                }
-            }
-            Ok(NetEvent::Closed { conn, errored }) => {
-                if conns.remove(&conn).is_some() {
-                    backend.forget_conn(conn);
-                    if errored {
-                        backend.summary_mut().disconnects += 1;
+            fds.clear();
+            tokens.clear();
+            let mut watch = |fd, events, token| {
+                fds.push(PollFd {
+                    fd,
+                    events,
+                    revents: 0,
+                });
+                tokens.push(token);
+            };
+            watch(waker.as_raw_fd(), POLLIN, Token::Waker);
+            let now = Instant::now();
+            let mut timeout = HEARTBEAT;
+            for (i, (listener, parked)) in self.listeners.iter_mut().enumerate() {
+                match *parked {
+                    Some(until) if until > now => timeout = timeout.min(until - now),
+                    _ => {
+                        *parked = None;
+                        watch(listener.fd(), POLLIN, Token::Listener(i));
                     }
                 }
             }
-            Ok(NetEvent::AcceptFatal { what }) => return Ok(Some(what)),
-            Ok(NetEvent::Wake) | Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => return Ok(None),
+            for (&id, conn) in &self.conns {
+                let read = if conn.reading { POLLIN } else { 0 };
+                let write = if conn.blocked { POLLOUT } else { 0 };
+                watch(conn.stream.as_raw_fd(), read | write, Token::Conn(id));
+            }
+            sys::wait(&mut fds, timeout).map_err(|e| format!("serve: poll: {e}"))?;
+            for (fd, &token) in fds.iter().zip(&tokens) {
+                if fd.revents == 0 {
+                    continue;
+                }
+                match token {
+                    Token::Waker => {
+                        let mut buf = [0u8; 64];
+                        while matches!((&*waker).read(&mut buf), Ok(n) if n > 0) {}
+                    }
+                    Token::Listener(i) => {
+                        if let Some(what) = self.accept(i, backend) {
+                            return Ok(Some(what));
+                        }
+                    }
+                    Token::Conn(id) => self.ready(id, fd.revents, backend, throttle)?,
+                }
+            }
+            backend.pump(&mut self.out)?;
+            self.route(backend);
+            self.flush_all(backend);
         }
-        backend.pump(out)?;
-        route_replies(backend, out, conns);
     }
-}
 
-/// A live connection's dispatcher-side handles: the bounded reply queue,
-/// a kill handle for tearing down stalled clients, and the queue-depth
-/// gauge shared with the writer thread.
-struct ConnState {
-    outbox: SyncSender<String>,
-    kill: AnyStream,
-    depth: Arc<AtomicUsize>,
-}
+    /// Accepts every connection queued on listener `i`. Returns what
+    /// failed when the listener cannot go on.
+    fn accept(&mut self, i: usize, backend: &mut Backend) -> Option<String> {
+        let (listener, parked) = &mut self.listeners[i];
+        loop {
+            match listener.accept() {
+                Ok(stream) => {
+                    // A connection that cannot be made nonblocking is
+                    // dropped alone.
+                    if stream.make_nonblocking().is_ok() {
+                        let conn = Conn::new(stream, self.max_frame);
+                        self.conns.insert(self.next_conn, conn);
+                        backend.summary_mut().connections += 1;
+                    }
+                    self.next_conn += 1;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return None,
+                Err(e) if transient_accept(&e) => {
+                    backend.summary_mut().accept_retries += 1;
+                    *parked = Some(Instant::now() + ACCEPT_BACKOFF);
+                    return None;
+                }
+                Err(e) => return Some(format!("accept on {}: {e}", listener.describe())),
+            }
+        }
+    }
 
-fn route_replies(
-    backend: &mut Backend,
-    out: &mut Vec<(u64, String)>,
-    conns: &mut HashMap<u64, ConnState>,
-) {
-    for (conn, reply) in out.drain(..) {
-        let Some(state) = conns.get(&conn) else {
-            continue;
+    /// Handles one connection's readiness: a flush on `POLLOUT`, one read
+    /// on `POLLIN`. A hang-up on a connection no longer read drops it
+    /// (nobody is left to take its replies); on one still read, the read
+    /// reports the EOF or the error.
+    fn ready(
+        &mut self,
+        id: u64,
+        revents: i16,
+        backend: &mut Backend,
+        throttle: u64,
+    ) -> Result<(), String> {
+        use sys::{POLLERR, POLLHUP, POLLIN, POLLOUT};
+
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return Ok(());
         };
-        // Increment BEFORE sending: the writer thread decrements as it
-        // receives, so an increment after a successful `try_send` could
-        // lose the race and watch the gauge underflow.
-        let depth = state
-            .depth
-            .fetch_add(1, Ordering::Relaxed)
-            .saturating_add(1);
-        match state.outbox.try_send(reply) {
-            Ok(()) => {
-                let summary = backend.summary_mut();
-                summary.peak_writer_queue = summary.peak_writer_queue.max(depth);
-            }
-            Err(mpsc::TrySendError::Full(_)) => {
-                state.depth.fetch_sub(1, Ordering::Relaxed);
-                // The client stopped draining replies. Never block the
-                // dispatcher on one stalled reader: shut the socket down
-                // (waking a writer blocked mid-`write`) and drop the
-                // connection.
-                let state = conns.remove(&conn).expect("connection state present");
-                let _ = state.kill.shutdown();
-                backend.forget_conn(conn);
-                backend.summary_mut().slow_disconnects += 1;
-            }
-            Err(mpsc::TrySendError::Disconnected(_)) => {
-                // Writer already died; the Closed event does the
-                // bookkeeping.
-                state.depth.fetch_sub(1, Ordering::Relaxed);
-            }
+        let hangup = revents & (POLLHUP | POLLERR) != 0;
+        let reading = conn.reading;
+        if !reading && hangup {
+            self.conns.remove(&id);
+        } else if revents & POLLOUT != 0 && conn.flush().is_err() {
+            self.conns.remove(&id);
+            count_lost(backend, id, reading);
+        } else if reading && (revents & POLLIN != 0 || hangup) {
+            self.read(id, backend, throttle)?;
         }
+        Ok(())
+    }
+
+    /// Reads once from a connection and submits its complete lines.
+    fn read(&mut self, id: u64, backend: &mut Backend, throttle: u64) -> Result<(), String> {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return Ok(());
+        };
+        let mut chunk = [0u8; READ_CHUNK];
+        let n = match conn.stream.read(&mut chunk) {
+            // EOF at a line boundary is a clean close; EOF with a partial
+            // request buffered means the client died mid-line — data was
+            // lost, so it counts as a dropped connection. The partial line
+            // is never dispatched: the protocol is strictly line-framed.
+            Ok(0) => {
+                conn.reading = false;
+                backend.forget_conn(id);
+                if conn.framer.partial() {
+                    backend.summary_mut().disconnects += 1;
+                }
+                return Ok(());
+            }
+            Ok(n) => n,
+            Err(e) if is_retry(&e) => return Ok(()),
+            Err(_) => {
+                self.conns.remove(&id);
+                count_lost(backend, id, true);
+                return Ok(());
+            }
+        };
+        let (lines, oversize) = conn.framer.push(&chunk[..n]);
+        for (offset, line) in lines {
+            if throttle > 0 {
+                std::thread::sleep(Duration::from_millis(throttle));
+            }
+            backend.submit(id, offset, &line, &mut self.out)?;
+        }
+        if oversize {
+            // One diagnostic reply, after those of the frames before the
+            // violation, then the connection closes. Only this connection
+            // is affected.
+            conn.reading = false;
+            self.out
+                .push((id, super::wire::line_too_long(self.max_frame)));
+            backend.forget_conn(id);
+            backend.summary_mut().oversize_disconnects += 1;
+        }
+        Ok(())
+    }
+
+    /// Queues completed replies on their connections. A connection that
+    /// already holds `writer_queue` replies the kernel has not accepted
+    /// gets one more write; if that does not make room, the client has
+    /// stopped reading and the connection is closed.
+    fn route(&mut self, backend: &mut Backend) {
+        for (id, reply) in self.out.drain(..) {
+            let Some(conn) = self.conns.get_mut(&id) else {
+                continue;
+            };
+            if conn.ends.len() >= self.writer_queue {
+                let flushed = conn.flush();
+                if flushed.is_err() || conn.ends.len() >= self.writer_queue {
+                    let reading = conn.reading;
+                    self.conns.remove(&id);
+                    if flushed.is_err() {
+                        count_lost(backend, id, reading);
+                    } else if reading {
+                        backend.forget_conn(id);
+                        backend.summary_mut().slow_disconnects += 1;
+                    }
+                    continue;
+                }
+            }
+            conn.queue(&reply);
+            let summary = backend.summary_mut();
+            summary.peak_writer_queue = summary.peak_writer_queue.max(conn.ends.len());
+        }
+    }
+
+    /// Gives every connection with new, unblocked output one write, and
+    /// drops closing connections once their output is gone.
+    fn flush_all(&mut self, backend: &mut Backend) {
+        self.conns.retain(|&id, conn| {
+            if !conn.blocked && conn.flush().is_err() {
+                count_lost(backend, id, conn.reading);
+                return false;
+            }
+            conn.reading || !conn.unsent.is_empty()
+        });
     }
 }
 

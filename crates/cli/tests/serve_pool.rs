@@ -514,3 +514,52 @@ fn pooled_stdin_replies_without_waiting_for_the_heartbeat() {
         "median stdin round trip at --workers 2 is {med:?}; want < 20 ms"
     );
 }
+
+/// Threads in a live process, read from `/proc/<pid>/task`.
+fn thread_count(pid: u32) -> usize {
+    std::fs::read_dir(format!("/proc/{pid}/task"))
+        .expect("read /proc/<pid>/task")
+        .count()
+}
+
+/// Opens a connection and waits for one reply on it, so the daemon has
+/// certainly accepted it.
+fn open_connection(sock: &Path) -> UnixStream {
+    let mut s = await_socket(sock);
+    let mut reader = BufReader::new(s.try_clone().expect("clone"));
+    writeln!(s, "stats").expect("write");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read");
+    assert!(line.starts_with("ok stats daemon "), "{line}");
+    s
+}
+
+/// The socket frontend serves every connection from one loop: the
+/// daemon's thread count with 8 idle connections open equals its count
+/// with none, at one worker and at two.
+#[test]
+#[cfg(target_os = "linux")]
+fn thread_count_does_not_grow_with_connections() {
+    for workers in [1u32, 2] {
+        let sock = scratch(&format!("threads-w{workers}"));
+        let mut child = Command::new(bin())
+            .args(["serve", "--workers", &workers.to_string(), "--socket"])
+            .arg(&sock)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn socket daemon");
+        drop(open_connection(&sock));
+        let idle = thread_count(child.id());
+        let conns: Vec<UnixStream> = (0..8).map(|_| open_connection(&sock)).collect();
+        let busy = thread_count(child.id());
+        drop(conns);
+        let out = terminate(&mut child);
+        assert!(out.status.success(), "{out:?}");
+        let _ = std::fs::remove_file(&sock);
+        assert_eq!(
+            busy, idle,
+            "--workers {workers}: {idle} threads with no connection, {busy} with 8"
+        );
+    }
+}
