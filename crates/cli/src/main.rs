@@ -962,7 +962,7 @@ fn cmd_soak(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
-    use fjs_cli::serve::{install_drain_handlers, run_stream, Backend, ServeOptions, Sink};
+    use fjs_cli::serve::{install_drain_handlers, ServeOptions, Server, Sink};
     use fjs_core::service::ServeJournal;
     use std::io::BufWriter;
 
@@ -1103,27 +1103,25 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         None => None,
     };
 
-    let mut backend = Backend::new(opts, log, journal);
+    let mut server = Server::new(opts, log, journal);
     if resume {
-        backend.resume(&journaled).map_err(CliError::Runtime)?;
+        server.resume(&journaled).map_err(CliError::Runtime)?;
         eprintln!(
             "serve: resumed {} journaled event(s); input lines <= {} will be skipped",
             journaled.len(),
-            backend.cursor()
+            server.cursor()
         );
     }
 
     fjs_cli::soak::clear_stop();
     install_drain_handlers();
 
-    if socket.is_some() || tcp.is_some() {
-        #[cfg(not(unix))]
-        return Err(CliError::Runtime(
-            "serve: --socket and --tcp need a unix target".into(),
-        ));
-        #[cfg(unix)]
-        {
-            use fjs_cli::serve::net;
+    #[cfg(not(unix))]
+    return Err(CliError::Runtime("serve: needs a unix target".into()));
+    #[cfg(unix)]
+    {
+        use fjs_cli::serve::net;
+        if socket.is_some() || tcp.is_some() {
             let mut listeners = Vec::new();
             if let Some(sock) = &socket {
                 match net::bind_unix(sock) {
@@ -1139,19 +1137,25 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             if let Some(addr) = &tcp {
                 listeners.push(net::bind_tcp(addr).map_err(CliError::Runtime)?);
             }
-            net::run_connections(&mut backend, listeners).map_err(CliError::Runtime)?;
+            net::run_connections(&mut server, listeners).map_err(CliError::Runtime)?;
+        } else {
+            let input = match &input {
+                Some(path) => std::fs::File::open(path)
+                    .map_err(|e| CliError::Runtime(format!("cannot open {path}: {e}")))?,
+                None => {
+                    use std::os::fd::AsFd;
+                    std::io::stdin()
+                        .as_fd()
+                        .try_clone_to_owned()
+                        .map(std::fs::File::from)
+                        .map_err(|e| CliError::Runtime(format!("serve: stdin: {e}")))?
+                }
+            };
+            net::run_lines(&mut server, input).map_err(CliError::Runtime)?;
         }
-    } else if let Some(path) = input {
-        let f = std::fs::File::open(&path)
-            .map_err(|e| CliError::Runtime(format!("cannot open {path}: {e}")))?;
-        let mut replies = std::io::stdout();
-        run_stream(&mut backend, std::io::BufReader::new(f), Some(&mut replies))
-            .map_err(CliError::Runtime)?;
-    } else {
-        fjs_cli::serve::run_stdin(&mut backend).map_err(CliError::Runtime)?;
     }
 
-    let (summary, _log) = backend.finish().map_err(CliError::Runtime)?;
+    let (summary, _log) = server.finish().map_err(CliError::Runtime)?;
     eprint!("{summary}");
     if let Some(path) = &stats_jsonl {
         let mut line = summary.to_jsonl();

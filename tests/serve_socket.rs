@@ -13,7 +13,7 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use fjs_cli::serve::net::{bind_unix, run_connections};
-use fjs_cli::serve::{Backend, ServeOptions, Sink};
+use fjs_cli::serve::{ServeOptions, Server, Sink};
 use fjs_cli::soak::{clear_stop, request_stop};
 
 /// Sends one request and reads its one-line reply.
@@ -47,9 +47,9 @@ fn socket_loop_answers_new_connections_at_once_and_drops_slow_clients() {
             writer_queue: 4,
             ..ServeOptions::default()
         };
-        let mut backend = Backend::new(opts, Sink::Null, None);
-        let served = run_connections(&mut backend, vec![listener]);
-        let (summary, _) = backend.finish().expect("finish");
+        let mut server = Server::new(opts, Sink::Null, None);
+        let served = run_connections(&mut server, vec![listener]);
+        let (summary, _) = server.finish().expect("finish");
         (served, summary)
     });
 
