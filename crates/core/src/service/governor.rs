@@ -7,9 +7,9 @@
 //!
 //! * [`TenantQuotas`] — caps on resident jobs and admitted payload bytes
 //!   across all of one tenant's open sessions, enforced where the exact
-//!   session state lives (inline in the serial server; on the owning
-//!   worker under a pool, which is why the dispatcher shards sessions by
-//!   *tenant* hash — co-location makes the check exact and deterministic).
+//!   session state lives: on the owning pool worker, which is why the
+//!   dispatcher shards sessions by *tenant* hash — co-location makes the
+//!   check exact and deterministic.
 //! * [`TenantBreakers`] — a circuit breaker per tenant: repeated
 //!   non-`Completed` close verdicts open the breaker, subsequent `open`s
 //!   are refused with a structured `busy breaker-open` reply, and after a
