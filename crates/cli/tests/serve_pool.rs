@@ -536,7 +536,7 @@ fn open_connection(sock: &Path) -> UnixStream {
 
 /// The socket frontend serves every connection from one loop: the
 /// daemon's thread count with 8 idle connections open equals its count
-/// with none, at one worker and at two.
+/// with none, and is the worker count, at one worker and at two.
 #[test]
 #[cfg(target_os = "linux")]
 fn thread_count_does_not_grow_with_connections() {
@@ -561,15 +561,20 @@ fn thread_count_does_not_grow_with_connections() {
             busy, idle,
             "--workers {workers}: {idle} threads with no connection, {busy} with 8"
         );
+        assert_eq!(
+            idle, workers as usize,
+            "--workers {workers}: the dispatcher owns shard 0, so N threads"
+        );
     }
 }
 
 /// The stdin frontend is the same poll loop: a stdin daemon runs the main
-/// thread plus one thread per worker above one, and no reader thread.
+/// thread, which owns shard 0, plus one thread per worker above one, and
+/// no reader thread.
 #[test]
 #[cfg(target_os = "linux")]
 fn stdin_daemon_runs_no_reader_thread() {
-    for (workers, want) in [(1u32, 1usize), (2, 3)] {
+    for (workers, want) in [(1u32, 1usize), (2, 2), (4, 4)] {
         let log = scratch(&format!("stdin-threads-w{workers}"));
         let mut child = Command::new(bin())
             .args(["serve", "--workers", &workers.to_string(), "--log"])

@@ -6,6 +6,7 @@
 
 use fjs_cli::serve::{run_script, run_script_pooled, ServeOptions};
 use fjs_core::job::{Instance, Job};
+use fjs_core::service::{stable_shard, tenant_of};
 use fjs_core::supervise::with_quiet_panics;
 use fjs_schedulers::SchedulerKind;
 
@@ -290,6 +291,94 @@ fn poison_never_leaks_across_sessions() {
                 reference,
                 "{poison}: session n{i} ({}) diverged from its clean run",
                 kind.label()
+            );
+        }
+    }
+}
+
+/// Shard 0 runs inline on the dispatcher thread at every worker count. A
+/// poisoned session there must stay contained exactly as on a worker
+/// thread: the run completes, the session ends with a typed verdict,
+/// every healthy session keeps its clean log, and the whole log and
+/// every reply equal the `--workers 1` run byte for byte.
+#[test]
+fn poison_on_the_inline_shard_is_contained() {
+    // Shard 0 of 4 is shard 0 of 2 as well.
+    let bad = (0..)
+        .map(|i| format!("bad{i}"))
+        .find(|sid| stable_shard(tenant_of(sid), 4) == 0)
+        .expect("some sid hashes to shard 0");
+    let clean: Vec<(SchedulerKind, String)> = SchedulerKind::registered_set()
+        .into_iter()
+        .map(|kind| {
+            let out = run_script(&script_for(kind), ServeOptions::default()).unwrap();
+            (kind, out.log)
+        })
+        .collect();
+
+    for poison in ["poison:panic:eager", "poison:hang:eager"] {
+        let mut script = format!("open {bad} {poison}\n");
+        for (i, (kind, _)) in clean.iter().enumerate() {
+            script.push_str(&format!("open n{i} {}\n", kind.short_name()));
+        }
+        for (j, (a, d, p)) in deck().into_iter().enumerate() {
+            if j == 1 {
+                script.push_str(&format!("job {bad} {a},{d},{p}\n"));
+            }
+            for i in 0..clean.len() {
+                script.push_str(&format!("job n{i} {a},{d},{p}\n"));
+            }
+        }
+        script.push_str(&format!("close {bad}\n"));
+        for i in 0..clean.len() {
+            script.push_str(&format!("close n{i}\n"));
+        }
+
+        let run = |workers| {
+            let opts = ServeOptions {
+                workers,
+                watchdog_events: 5_000,
+                ..ServeOptions::default()
+            };
+            with_quiet_panics(|| run_script_pooled(&script, opts).unwrap())
+        };
+        let reference = run(1);
+        for workers in [2, 4] {
+            let out = run(workers);
+            let bad_close = out
+                .log
+                .lines()
+                .find(|l| l.starts_with(&format!("{bad} close")))
+                .unwrap_or_else(|| panic!("{poison}@w{workers}: no close line for {bad}"));
+            assert!(
+                bad_close.contains("verdict=panicked") || bad_close.contains("verdict=timed-out"),
+                "{poison}@w{workers}: poisoned session must end with a typed verdict: {bad_close}"
+            );
+            for (i, (kind, clean_log)) in clean.iter().enumerate() {
+                let prefix = format!("n{i} ");
+                let mine: Vec<&str> = out
+                    .log
+                    .lines()
+                    .filter_map(|l| l.strip_prefix(&prefix))
+                    .collect();
+                let want: Vec<&str> = clean_log
+                    .lines()
+                    .filter_map(|l| l.strip_prefix("x "))
+                    .collect();
+                assert_eq!(
+                    mine,
+                    want,
+                    "{poison}@w{workers}: session n{i} ({}) diverged from its clean run",
+                    kind.label()
+                );
+            }
+            assert_eq!(
+                out.log, reference.log,
+                "{poison}@w{workers}: log must equal --workers 1"
+            );
+            assert_eq!(
+                out.replies, reference.replies,
+                "{poison}@w{workers}: replies must equal --workers 1"
             );
         }
     }

@@ -1,18 +1,18 @@
-//! A worker pool that shards [`Session`]s across threads.
+//! A worker pool that shards [`Session`]s across workers.
 //!
 //! `fjs serve` at `--workers N` dispatches every session to one of `N`
-//! resident worker threads chosen by a **stable hash of the session's
-//! tenant** ([`stable_shard`] over [`tenant_of`]), so all requests of one
-//! session — and of every sibling session of its tenant — apply on one
-//! thread in submission order. Tenant co-location is what makes the
-//! governor's per-tenant quotas exact: the owning worker can sum resident
-//! jobs and admitted bytes over the whole tenant without racing anyone. Each submitted request carries a **global
-//! sequence number** assigned by the dispatcher; replies come back tagged
-//! with it, and the dispatcher merges decision-log and journal lines in
-//! sequence order — the same index-ordered merge discipline as the
-//! sharded sweep executor in `fjs-analysis` — which makes
-//! the merged output a pure function of the request stream, independent
-//! of the worker count.
+//! workers chosen by a **stable hash of the session's tenant**
+//! ([`stable_shard`] over [`tenant_of`]), so all requests of one session —
+//! and of every sibling session of its tenant — apply on one worker in
+//! submission order. Tenant co-location is what makes the governor's
+//! per-tenant quotas exact: the owning worker can sum resident jobs and
+//! admitted bytes over the whole tenant without racing anyone. Each
+//! submitted request carries a **global sequence number** assigned by
+//! the dispatcher; replies come back tagged with it, and the dispatcher
+//! merges decision-log and journal lines in sequence order — the same
+//! index-ordered merge discipline as the sharded sweep executor in
+//! `fjs-analysis` — which makes the merged output a pure function of the
+//! request stream, independent of the worker count.
 //!
 //! Why this is deterministic: a session's observable behaviour (its
 //! decisions, its span, its shed/terminal outcomes) is a function of its
@@ -22,10 +22,18 @@
 //! have produced, and the sequence-ordered merge reproduces the
 //! one-worker interleaving byte for byte.
 //!
-//! At `--workers 1` the pool spawns no thread: its one worker runs
-//! *inline*, applying each request on the caller's thread inside
-//! [`SessionPool::submit`] and queueing the reply for
-//! [`SessionPool::try_recv`]. Same worker, same replies, no channel.
+//! Worker 0 runs *inline*: it applies each request on the caller's
+//! thread inside [`SessionPool::submit`] and queues the reply for
+//! [`SessionPool::try_recv`]. Workers `1..N` are resident threads, each
+//! fed by its own FIFO channel, all answering on one shared reply
+//! channel; at `--workers 1` there is no thread and no channel. So a
+//! pool of `N` workers adds `N - 1` threads to the caller's, and
+//! requests on shard 0 never cross a thread.
+//!
+//! The price is isolation on shard 0. A hung scheduler there burns its
+//! watchdog event budget on the caller's thread, so a dispatcher calling
+//! `submit` serves nobody for that bounded time, as at `--workers 1`. A
+//! hung scheduler on a threaded shard still stalls only its own worker.
 //!
 //! The pool is deliberately free of any protocol or I/O concern: it
 //! receives typed [`PoolRequest`]s and returns typed [`PoolReply`]s. The
@@ -53,8 +61,8 @@
 //! swap, and the drain after it sees `R`. Both sides swap with
 //! acquire/release ordering, so a re-arm that reads a worker's cleared
 //! flag also sees that worker's send. A wake may be spurious (an earlier
-//! drain already took its reply); an empty drain is harmless. The inline
-//! worker never wakes anyone: its reply is queued before `submit` returns.
+//! drain already took its reply); an empty drain is harmless. Worker 0
+//! never wakes anyone: its reply is queued before `submit` returns.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -418,39 +426,31 @@ impl WakeSlot {
     }
 }
 
-/// The one worker of an inline pool, and the replies it produced that
-/// have not been received yet.
+/// Worker 0, applied on the caller's thread, and the replies it produced
+/// that have not been received yet.
 struct Inline {
     worker: Worker,
     done: VecDeque<(u64, PoolReply)>,
 }
 
-/// Where the pool's workers run.
-enum Shards {
-    /// One worker on the caller's thread.
-    Inline(RefCell<Inline>),
-    /// Resident threads with per-worker FIFO request channels and one
-    /// shared reply channel.
-    Threads {
-        txs: Vec<mpsc::Sender<Task>>,
-        rx: mpsc::Receiver<(u64, PoolReply)>,
-        handles: Vec<std::thread::JoinHandle<WorkerReport>>,
-    },
-}
-
-/// The pool: one inline worker, or `workers` resident threads, with
-/// replies tagged by global sequence number. Scheduler panics are
-/// already contained inside [`Session`]; the threads themselves only die
-/// if the process is torn down around them, which
+/// The pool: worker 0 inline on the caller's thread, workers `1..N` on
+/// resident threads, with replies tagged by global sequence number.
+/// Scheduler panics are already contained inside [`Session`]; the threads
+/// themselves only die if the process is torn down around them, which
 /// [`SessionPool::submit`] reports as an error.
 pub struct SessionPool {
-    shards: Shards,
+    inline: RefCell<Inline>,
+    /// FIFO request channels of workers `1..N`, in order.
+    txs: Vec<mpsc::Sender<Task>>,
+    /// Their shared reply channel; `None` when there are no threads.
+    rx: Option<mpsc::Receiver<(u64, PoolReply)>>,
+    handles: Vec<std::thread::JoinHandle<WorkerReport>>,
     wake: Arc<WakeSlot>,
 }
 
 impl SessionPool {
-    /// Builds the pool: one inline worker for `workers <= 1`, else
-    /// `workers` threads. `max_pending` is the per-session resident-job
+    /// Builds the pool: worker 0 inline plus `workers - 1` threads (none
+    /// for `workers <= 1`). `max_pending` is the per-session resident-job
     /// cap enforced on the owning worker — the worker sees its session's
     /// exact state after all prior requests, so the shed decision is
     /// identical at every worker count. `quotas` are the per-tenant caps
@@ -463,43 +463,49 @@ impl SessionPool {
         factory: SessionFactory,
     ) -> SessionPool {
         let wake = Arc::new(WakeSlot::default());
-        if workers <= 1 {
-            let worker = Worker::new(factory, max_pending, quotas);
-            let done = VecDeque::new();
-            let shards = Shards::Inline(RefCell::new(Inline { worker, done }));
-            return SessionPool { shards, wake };
-        }
-        let (reply_tx, rx) = mpsc::channel::<(u64, PoolReply)>();
-        let mut txs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, task_rx) = mpsc::channel::<Task>();
-            let reply_tx = reply_tx.clone();
-            let factory = Arc::clone(&factory);
-            let wake = Arc::clone(&wake);
-            handles.push(std::thread::spawn(move || {
-                let mut w = Worker::new(factory, max_pending, quotas);
-                while let Ok(task) = task_rx.recv() {
-                    let reply = w.handle(task.req);
-                    if reply_tx.send((task.seq, reply)).is_err() {
-                        break;
+        let (mut txs, mut handles) = (Vec::new(), Vec::new());
+        let rx = (workers > 1).then(|| {
+            let (reply_tx, rx) = mpsc::channel::<(u64, PoolReply)>();
+            for _ in 1..workers {
+                let (tx, task_rx) = mpsc::channel::<Task>();
+                let reply_tx = reply_tx.clone();
+                let factory = Arc::clone(&factory);
+                let wake = Arc::clone(&wake);
+                handles.push(std::thread::spawn(move || {
+                    let mut w = Worker::new(factory, max_pending, quotas);
+                    while let Ok(task) = task_rx.recv() {
+                        let reply = w.handle(task.req);
+                        if reply_tx.send((task.seq, reply)).is_err() {
+                            break;
+                        }
+                        wake.notify();
                     }
-                    wake.notify();
-                }
-                w.report
-            }));
-            txs.push(tx);
+                    w.report
+                }));
+                txs.push(tx);
+            }
+            rx
+        });
+        let worker = Worker::new(factory, max_pending, quotas);
+        let inline = RefCell::new(Inline {
+            worker,
+            done: VecDeque::new(),
+        });
+        SessionPool {
+            inline,
+            txs,
+            rx,
+            handles,
+            wake,
         }
-        let shards = Shards::Threads { txs, rx, handles };
-        SessionPool { shards, wake }
     }
 
     /// Installs (`Some`) or removes (`None`) the callback a worker thread
     /// makes after putting a reply on the result channel, and arms it.
     /// Calls are coalesced: after one wake, the next fires only once
     /// [`SessionPool::rearm_waker`] has run. Once this returns with
-    /// `None`, the previous waker is never called again. An inline pool
-    /// never calls it.
+    /// `None`, the previous waker is never called again. Worker 0 never
+    /// calls it.
     pub fn set_waker(&self, waker: Option<Waker>) {
         *self.wake.waker.lock().unwrap_or_else(|e| e.into_inner()) = waker;
         self.rearm_waker();
@@ -515,65 +521,50 @@ impl SessionPool {
 
     /// Number of workers.
     pub fn workers(&self) -> usize {
-        match &self.shards {
-            Shards::Inline(_) => 1,
-            Shards::Threads { txs, .. } => txs.len(),
-        }
+        1 + self.txs.len()
     }
 
     /// Queues a request on `worker` (see [`stable_shard`]) tagged `seq`.
-    /// An inline pool applies it before returning.
+    /// Worker 0 applies it before returning.
     pub fn submit(&self, worker: usize, seq: u64, req: PoolRequest) -> Result<(), String> {
-        match &self.shards {
-            Shards::Inline(inline) if worker == 0 => {
-                let mut inline = inline.borrow_mut();
-                let reply = inline.worker.handle(req);
-                inline.done.push_back((seq, reply));
-                Ok(())
-            }
-            Shards::Inline(_) => Err(format!("no such worker {worker}")),
-            Shards::Threads { txs, .. } => txs
-                .get(worker)
-                .ok_or_else(|| format!("no such worker {worker}"))?
-                .send(Task { seq, req })
-                .map_err(|_| format!("worker {worker} is gone")),
+        if worker == 0 {
+            let mut inline = self.inline.borrow_mut();
+            let reply = inline.worker.handle(req);
+            inline.done.push_back((seq, reply));
+            return Ok(());
         }
+        self.txs
+            .get(worker - 1)
+            .ok_or_else(|| format!("no such worker {worker}"))?
+            .send(Task { seq, req })
+            .map_err(|_| format!("worker {worker} is gone"))
     }
 
-    /// A completed reply, if one is ready.
+    /// A completed reply, if one is ready. Worker 0's come first.
     pub fn try_recv(&self) -> Option<(u64, PoolReply)> {
-        match &self.shards {
-            Shards::Inline(inline) => inline.borrow_mut().done.pop_front(),
-            Shards::Threads { rx, .. } => rx.try_recv().ok(),
-        }
+        let inline = self.inline.borrow_mut().done.pop_front();
+        inline.or_else(|| self.rx.as_ref()?.try_recv().ok())
     }
 
-    /// Waits up to `timeout` for a completed reply. An inline pool never
-    /// waits: every reply it will produce is already queued.
+    /// Waits up to `timeout` for a completed reply. A queued worker-0
+    /// reply returns at once, and a pool without threads never waits.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<(u64, PoolReply)> {
-        match &self.shards {
-            Shards::Inline(inline) => inline.borrow_mut().done.pop_front(),
-            Shards::Threads { rx, .. } => rx.recv_timeout(timeout).ok(),
-        }
+        let inline = self.inline.borrow_mut().done.pop_front();
+        inline.or_else(|| self.rx.as_ref()?.recv_timeout(timeout).ok())
     }
 
-    /// Stops every worker (their queues drain first) and merges their
+    /// Stops every worker (thread queues drain first) and merges their
     /// peak reports. Sessions still resident are dropped without a close
     /// — callers drain before shutting down.
     pub fn shutdown(self) -> WorkerReport {
-        match self.shards {
-            Shards::Inline(inline) => inline.into_inner().worker.report,
-            Shards::Threads { txs, handles, .. } => {
-                drop(txs);
-                let mut merged = WorkerReport::default();
-                for h in handles {
-                    if let Ok(report) = h.join() {
-                        merged.merge(report);
-                    }
-                }
-                merged
+        drop(self.txs);
+        let mut merged = self.inline.into_inner().worker.report;
+        for h in self.handles {
+            if let Ok(report) = h.join() {
+                merged.merge(report);
             }
         }
+        merged
     }
 }
 
@@ -583,6 +574,7 @@ mod tests {
     use crate::sim::env::Clairvoyance;
     use crate::sim::sched::{Arrival, Ctx, OnlineScheduler};
     use crate::time::{dur, t};
+    use std::collections::HashSet;
     use std::sync::atomic::AtomicUsize;
 
     struct Eager;
@@ -937,11 +929,12 @@ mod tests {
 
     #[test]
     fn reply_is_ready_when_the_waker_fires() {
-        let pool = SessionPool::new(2, 1024, TenantQuotas::off(), factory());
+        // Workers 1 and 2 are threads; worker 0 runs inline and never wakes.
+        let pool = SessionPool::new(3, 1024, TenantQuotas::off(), factory());
         let (_, wakes) = counting_waker(&pool);
         for seq in 0..50u64 {
             pool.rearm_waker();
-            pool.submit((seq % 2) as usize, seq, probe()).unwrap();
+            pool.submit(1 + (seq % 2) as usize, seq, probe()).unwrap();
             wakes.recv_timeout(WAIT).expect("wake");
             let (got, reply) = pool.try_recv().expect("reply sent before the wake");
             assert_eq!(got, seq);
@@ -952,11 +945,11 @@ mod tests {
 
     #[test]
     fn wakes_coalesce_until_rearmed() {
-        // Two workers: a one-worker pool runs inline and never wakes.
+        // Worker 1 is the pool's one thread: worker 0 never wakes.
         let pool = SessionPool::new(2, 1024, TenantQuotas::off(), factory());
         let (calls, wakes) = counting_waker(&pool);
         for seq in 0..20u64 {
-            pool.submit(0, seq, probe()).unwrap();
+            pool.submit(1, seq, probe()).unwrap();
         }
         for _ in 0..20 {
             pool.recv_timeout(WAIT).expect("reply");
@@ -968,7 +961,7 @@ mod tests {
         assert_eq!(calls.load(Ordering::SeqCst), 1, "20 completions, one wake");
 
         pool.rearm_waker();
-        pool.submit(0, 20, probe()).unwrap();
+        pool.submit(1, 20, probe()).unwrap();
         wakes.recv_timeout(WAIT).expect("re-armed completion wakes");
         assert_eq!(pool.recv_timeout(WAIT).map(|(seq, _)| seq), Some(20));
         std::thread::sleep(Duration::from_millis(50));
@@ -978,12 +971,12 @@ mod tests {
 
     #[test]
     fn uninstalled_waker_is_never_called() {
-        let pool = SessionPool::new(2, 1024, TenantQuotas::off(), factory());
+        let pool = SessionPool::new(3, 1024, TenantQuotas::off(), factory());
         let (calls, _wakes) = counting_waker(&pool);
         pool.set_waker(None);
         for seq in 0..20u64 {
             pool.rearm_waker();
-            pool.submit((seq % 2) as usize, seq, probe()).unwrap();
+            pool.submit(1 + (seq % 2) as usize, seq, probe()).unwrap();
             pool.recv_timeout(WAIT).expect("reply");
         }
         std::thread::sleep(Duration::from_millis(50));
@@ -992,60 +985,110 @@ mod tests {
     }
 
     #[test]
-    fn one_worker_runs_inline_and_never_wakes() {
-        // The factory runs on the worker that opens the session, so the
-        // thread it sees is the worker's.
-        let seen = Arc::new(Mutex::new(None));
-        let record = Arc::clone(&seen);
-        let inner = factory();
-        let spy: SessionFactory = Arc::new(move |spec: &str| {
-            *record.lock().unwrap() = Some(std::thread::current().id());
-            inner(spec)
-        });
-        let pool = SessionPool::new(1, 1024, TenantQuotas::off(), spy);
-        let (calls, _wakes) = counting_waker(&pool);
-        let open = PoolRequest::Open {
-            sid: "a".into(),
-            spec: "eager".into(),
-        };
-        pool.submit(0, 0, open).unwrap();
-        assert_eq!(*seen.lock().unwrap(), Some(std::thread::current().id()));
-        assert!(matches!(
-            pool.try_recv(),
-            Some((0, PoolReply::Opened { .. }))
-        ));
-        for seq in 1..20u64 {
-            pool.rearm_waker();
-            pool.submit(0, seq, probe()).unwrap();
-            let (got, _) = pool.try_recv().expect("reply ready when submit returns");
-            assert_eq!(got, seq);
+    fn worker_zero_runs_inline_and_never_wakes() {
+        for n in [1usize, 3] {
+            // Each factory call records the thread it ran on: the thread
+            // of the worker that opens the session.
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let record = Arc::clone(&seen);
+            let inner = factory();
+            let spy: SessionFactory = Arc::new(move |spec: &str| {
+                record.lock().unwrap().push(std::thread::current().id());
+                inner(spec)
+            });
+            let pool = SessionPool::new(n, 1024, TenantQuotas::off(), spy);
+            assert_eq!(pool.workers(), n);
+            let (calls, wakes) = counting_waker(&pool);
+            let open = |sid: &str| PoolRequest::Open {
+                sid: sid.into(),
+                spec: "eager".into(),
+            };
+            let here = std::thread::current().id();
+
+            pool.submit(0, 0, open("a")).unwrap();
+            assert_eq!(*seen.lock().unwrap(), vec![here], "n={n}");
+            assert!(matches!(
+                pool.try_recv(),
+                Some((0, PoolReply::Opened { .. }))
+            ));
+            for seq in 1..20u64 {
+                pool.rearm_waker();
+                pool.submit(0, seq, probe()).unwrap();
+                let (got, _) = pool.try_recv().expect("reply ready when submit returns");
+                assert_eq!(got, seq);
+            }
+            assert!(pool.try_recv().is_none());
+            assert_eq!(
+                calls.load(Ordering::SeqCst),
+                0,
+                "n={n}: worker 0 never wakes"
+            );
+            assert!(
+                pool.submit(n, 20, probe()).is_err(),
+                "only workers 0..{n} exist"
+            );
+
+            // Workers 1..n are threads of their own.
+            for w in 1..n {
+                pool.submit(w, 20 + w as u64, open("b")).unwrap();
+            }
+            if n > 1 {
+                wakes.recv_timeout(WAIT).expect("a threaded reply wakes");
+            }
+            for _ in 1..n {
+                pool.recv_timeout(WAIT).expect("threaded reply");
+            }
+            let threads = seen.lock().unwrap();
+            let distinct: HashSet<_> = threads.iter().collect();
+            assert_eq!(
+                (threads.len(), distinct.len()),
+                (n, n),
+                "n={n}: one thread per worker"
+            );
+            drop(threads);
+            pool.shutdown();
         }
-        assert!(pool.try_recv().is_none());
-        assert!(pool.submit(1, 20, probe()).is_err(), "only worker 0 exists");
-        assert_eq!(
-            calls.load(Ordering::SeqCst),
-            0,
-            "an inline pool never wakes"
-        );
-        pool.shutdown();
+
+        // Only the worker that ran a session has peaks, so each worker's
+        // report must reach the merge.
+        for worker in 0..3 {
+            let pool = SessionPool::new(3, 1024, TenantQuotas::off(), factory());
+            let open = PoolRequest::Open {
+                sid: "a".into(),
+                spec: "eager".into(),
+            };
+            let job = PoolRequest::Offer {
+                sid: "a".into(),
+                offer: offer(0.0, 5.0, 2.0),
+            };
+            pool.submit(worker, 0, open).unwrap();
+            pool.submit(worker, 1, job).unwrap();
+            for _ in 0..2 {
+                pool.recv_timeout(WAIT).expect("reply");
+            }
+            let report = pool.shutdown();
+            assert!(report.peak_retained >= 1, "worker {worker}'s peaks");
+            assert!(report.peak_live_segments >= 1, "worker {worker}'s peaks");
+        }
     }
 
     /// The dispatcher's loop in miniature: block on the wake, re-arm,
-    /// drain. Both workers complete concurrently every round, so their
-    /// swaps race each other and the re-arm; a lost wakeup would leave a
-    /// reply stranded and the wait would time out.
+    /// drain. Every round submits to all three workers: worker 0's reply
+    /// is queued inline, and the two threads complete concurrently, so
+    /// their swaps race each other and the re-arm; a lost wakeup would
+    /// leave a reply stranded and the wait would time out.
     #[test]
     fn no_wakeup_is_lost_under_racing_completions() {
-        let pool = SessionPool::new(2, 1024, TenantQuotas::off(), factory());
+        let pool = SessionPool::new(3, 1024, TenantQuotas::off(), factory());
         let (_, wakes) = counting_waker(&pool);
         let mut seq = 0u64;
         for round in 0..10_000 {
-            for worker in 0..2 {
+            for worker in 0..3 {
                 pool.submit(worker, seq, probe()).unwrap();
                 seq += 1;
             }
             let mut drained = 0;
-            while drained < 2 {
+            while drained < 3 {
                 wakes
                     .recv_timeout(WAIT)
                     .unwrap_or_else(|_| panic!("round {round}: wakeup lost"));
@@ -1054,7 +1097,7 @@ mod tests {
                     drained += 1;
                 }
             }
-            assert_eq!(drained, 2, "round {round}");
+            assert_eq!(drained, 3, "round {round}");
         }
         pool.shutdown();
     }
