@@ -4,11 +4,11 @@
 //! It keeps the protocol-facing state machine (line numbering, resume
 //! cursor, quarantine, admission control) on the dispatching thread —
 //! where requests are still seen in input order — and ships session work
-//! to a [`SessionPool`] sharded by stable tenant hash. At `--workers 1`
-//! the pool's one worker runs inline on this thread, so a request is
-//! applied inside [`Server::submit`]; above that it runs on worker
-//! threads. Three ordering domains make this deterministic without
-//! serializing the actual scheduling work:
+//! to a [`SessionPool`] sharded by stable tenant hash. The pool's worker 0
+//! runs inline on this thread, so a request on shard 0 is applied inside
+//! [`Server::submit`]; shards `1..N` run on worker threads. Three
+//! ordering domains make this deterministic without serializing the
+//! actual scheduling work:
 //!
 //! 1. **Per-session order** — all requests of one session go to one
 //!    worker over a FIFO channel, so each session evolves exactly as it
@@ -20,10 +20,13 @@
 //!    order: byte-identical at any worker count (the same index-ordered
 //!    merge discipline as the sharded sweep executor).
 //! 3. **Per-connection order** — replies are released as soon as all of
-//!    the *same connection's* earlier requests have completed. One
-//!    tenant's slow offer (a hung scheduler burning its watchdog budget)
-//!    delays only its own connection's replies; siblings keep flowing
-//!    even while the global log emission waits for the straggler.
+//!    the *same connection's* earlier requests have completed. On a
+//!    threaded shard, one tenant's slow offer (a hung scheduler burning
+//!    its watchdog budget) delays only its own connection's replies;
+//!    siblings keep flowing even while the global log emission waits for
+//!    the straggler. On shard 0 the same offer burns its budget on this
+//!    thread, so it stalls every connection for that bounded time, as
+//!    at `--workers 1`.
 //!
 //! Admission control that needs the *global* open-session set
 //! (`--max-sessions`, duplicate opens, unknown sids) runs on the
@@ -152,7 +155,7 @@ pub struct Server {
 
 impl Server {
     /// Builds the dispatcher and its pool of `opts.workers` session
-    /// workers (one inline worker at `--workers 1`), writing decisions to
+    /// workers (worker 0 inline on this thread), writing decisions to
     /// `log` and journaling admitted requests to `journal` (if any).
     pub fn new(opts: ServeOptions, log: Sink, journal: Option<ServeJournal>) -> Server {
         let watchdog = opts.watchdog_events;

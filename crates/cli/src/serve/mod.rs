@@ -10,7 +10,7 @@
 //!
 //! One [`Server`] ([`dispatch`]) serves every worker count: sessions
 //! shard across a [`SessionPool`](fjs_core::service::SessionPool) whose
-//! one worker runs inline at `--workers 1`, and a sequence-numbered
+//! worker 0 runs inline on the dispatcher thread, and a sequence-numbered
 //! merge keeps the decision log and journal byte-identical at any count.
 //! One `poll(2)` loop ([`net`], unix only) serves every frontend: the
 //! listeners and their connections, or the stdin / `--input` line
@@ -84,9 +84,8 @@ pub struct ServeOptions {
     pub throttle_ms: u64,
     /// Session workers. Sessions shard across a
     /// [`SessionPool`](fjs_core::service::SessionPool) by stable *tenant*
-    /// hash (so the governor's tenant quotas stay exact). `1` runs the
-    /// one worker inline on the dispatcher thread; above that, each
-    /// worker is a thread.
+    /// hash (so the governor's tenant quotas stay exact). Worker 0 runs
+    /// inline on the dispatcher thread; each worker above it is a thread.
     pub workers: usize,
     /// Cap on concurrently open sessions per tenant (sid prefix before
     /// the first `.`); `0` disables. Excess `open`s shed `busy`.
