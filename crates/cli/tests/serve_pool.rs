@@ -568,6 +568,63 @@ fn thread_count_does_not_grow_with_connections() {
     }
 }
 
+/// CPU clock ticks (utime + stime) a live process has used, read from
+/// `/proc/<pid>/stat`. The fields after the `)` that closes the command
+/// name start at field 3, so utime (14) and stime (15) are the 12th and
+/// 13th of them.
+#[cfg(target_os = "linux")]
+fn cpu_ticks(pid: u32) -> u64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("read /proc/<pid>/stat");
+    let (_, fields) = stat.rsplit_once(") ").expect("stat has a command name");
+    let field = |i: usize| -> u64 {
+        fields
+            .split_whitespace()
+            .nth(i)
+            .expect("stat field")
+            .parse()
+            .expect("tick count")
+    };
+    field(11) + field(12)
+}
+
+/// The busy-poll window closes: after a closed-loop burst, which keeps
+/// the loop polling without blocking, an idle daemon goes back to sleep
+/// in `poll(2)` and uses almost no CPU, at one worker and at two.
+#[test]
+#[cfg(target_os = "linux")]
+fn idle_daemon_does_not_spin() {
+    for workers in [1u32, 2] {
+        let sock = scratch(&format!("idle-w{workers}"));
+        let mut child = Command::new(bin())
+            .args(["serve", "--workers", &workers.to_string(), "--socket"])
+            .arg(&sock)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn socket daemon");
+        drop(await_socket(&sock));
+        let burst = Command::new(bin())
+            .args(["loadgen", "--socket"])
+            .arg(&sock)
+            .args(["--sessions", "4", "--jobs", "400", "--concurrency", "2"])
+            .output()
+            .expect("closed-loop loadgen");
+        assert!(burst.status.success(), "{burst:?}");
+        let report = String::from_utf8_lossy(&burst.stdout);
+        assert!(report.contains("408 replies"), "{report}");
+        let before = cpu_ticks(child.id());
+        std::thread::sleep(Duration::from_secs(2));
+        let idle = cpu_ticks(child.id()) - before;
+        let out = terminate(&mut child);
+        assert!(out.status.success(), "{out:?}");
+        let _ = std::fs::remove_file(&sock);
+        assert!(
+            idle < 10,
+            "--workers {workers}: an idle daemon used {idle} ticks in 2 s"
+        );
+    }
+}
+
 /// The stdin frontend is the same poll loop: a stdin daemon runs the main
 /// thread, which owns shard 0, plus one thread per worker above one, and
 /// no reader thread.
