@@ -779,6 +779,11 @@ fn cmd_conform(args: &[String]) -> Result<(), CliError> {
         on_failure: Some(&mut on_failure),
     };
     let report = run_conformance_with(&targets, &config, hooks);
+    if let Some(j) = journal {
+        let mut j = j.into_inner().unwrap_or_else(|e| e.into_inner());
+        j.compact()
+            .map_err(|e| CliError::Runtime(format!("journal: {e}")))?;
+    }
     println!(
         "conformance: {} case(s) × {} target(s) = {} oracle checks \
          ({} mode, {} deck, base seed {base_seed})\n",

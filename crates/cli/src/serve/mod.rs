@@ -19,7 +19,7 @@
 //! Robustness properties:
 //!
 //! - **Isolation** — a panicking or hung scheduler poisons only its own
-//!   session (typed [`SessionVerdict`](fjs_core::service::SessionVerdict));
+//!   session (typed [`Verdict`](fjs_core::supervise::Verdict));
 //!   every other session keeps its
 //!   byte-identical decision stream.
 //! - **Backpressure** — `--max-sessions` bounds resident sessions and
@@ -77,7 +77,7 @@ pub struct ServeOptions {
     pub watchdog_events: usize,
     /// What to do with malformed protocol lines.
     pub quarantine: Quarantine,
-    /// Journal fsync cadence (records between `fsync` calls).
+    /// Journal sync cadence (records between syncs).
     pub checkpoint_every: usize,
     /// Artificial per-request delay in milliseconds — a test hook so
     /// kill/resume tests can reliably interrupt a run mid-stream.
@@ -314,7 +314,8 @@ impl ServeSummary {
 /// and worker count renders the same bytes.
 pub(crate) mod wire {
     use fjs_core::job::JobId;
-    use fjs_core::service::{Decision, SessionError, SessionVerdict, TenantShedCause};
+    use fjs_core::service::{Decision, SessionError, TenantShedCause};
+    use fjs_core::supervise::Verdict;
     use fjs_core::time::Dur;
 
     pub fn open_ok(sid: &str, name: &str) -> String {
@@ -373,10 +374,10 @@ pub(crate) mod wire {
             s.peak_writer_queue,
         )
     }
-    pub fn job_terminal(sid: &str, v: &SessionVerdict) -> String {
+    pub fn job_terminal(sid: &str, v: &Verdict) -> String {
         format!("err job {sid} verdict={}: session is terminal", v.label())
     }
-    pub fn job_poisoned(sid: &str, v: &SessionVerdict) -> String {
+    pub fn job_poisoned(sid: &str, v: &Verdict) -> String {
         format!("err job {sid} verdict={}: {v}", v.label())
     }
     pub fn job_rejected(sid: &str, line: u64, offset: u64, e: &SessionError) -> String {

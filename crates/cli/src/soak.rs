@@ -350,13 +350,16 @@ pub fn run_soak(opts: &SoakOptions) -> Result<SoakSummary, String> {
     };
     // Poison sweeps panic on purpose in every cell; silence the global
     // panic hook so the report is the only output.
-    if opts.poison.is_some() {
-        with_quiet_panics(sweep)?;
+    let swept = if opts.poison.is_some() {
+        with_quiet_panics(sweep)
     } else {
-        sweep()?;
-    }
-
-    let journal = journal.into_inner().unwrap_or_else(|e| e.into_inner());
+        sweep()
+    };
+    // Every exit path (done, stopped, over budget, failed) leaves the
+    // journal in its sorted form.
+    let mut journal = journal.into_inner().unwrap_or_else(|e| e.into_inner());
+    let compacted = journal.compact().map_err(|e| format!("journal: {e}"));
+    swept.and(compacted)?;
     let degraded = journal
         .entries()
         .filter(|r| r.verdict != "completed")

@@ -7,7 +7,7 @@
 #![cfg(unix)]
 
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::process::{Command, Output, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 static SCRATCH: AtomicUsize = AtomicUsize::new(0);
@@ -197,4 +197,88 @@ fn serve_resume_with_missing_journal_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("nothing to resume"), "{stderr}");
+}
+
+/// Runs `fjs serve --input script --log log --journal journal` plus
+/// `extra` arguments to completion.
+fn serve_run(script: &PathBuf, log: &PathBuf, journal: &PathBuf, extra: &[&str]) -> Output {
+    Command::new(bin())
+        .arg("serve")
+        .args(extra)
+        .arg("--input")
+        .arg(script)
+        .arg("--log")
+        .arg(log)
+        .arg("--journal")
+        .arg(journal)
+        .output()
+        .expect("run fjs serve")
+}
+
+/// A kill can leave a torn final record in the journal. `--resume` must cut
+/// it off before appending: otherwise the next record is glued onto the
+/// fragment and the following `--resume` refuses the journal as corrupt.
+#[test]
+fn resume_cuts_a_torn_tail_before_appending() {
+    use std::io::Write;
+
+    let script = scratch("torn-script");
+    emit_script(&script, 200);
+    let ref_log = scratch("torn-ref-log");
+    let ref_journal = scratch("torn-ref-journal");
+    let reference = serve_run(&script, &ref_log, &ref_journal, &[]);
+    assert!(reference.status.success(), "{reference:?}");
+
+    let cut_log = scratch("torn-cut-log");
+    let cut_journal = scratch("torn-cut-journal");
+    let mut child = Command::new(bin())
+        .args(["serve", "--throttle-ms", "5", "--checkpoint-every", "1"])
+        .arg("--input")
+        .arg(&script)
+        .arg("--log")
+        .arg(&cut_log)
+        .arg("--journal")
+        .arg(&cut_journal)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn throttled serve");
+    std::thread::sleep(std::time::Duration::from_millis(400));
+    let _ = Command::new("kill")
+        .args(["-KILL", &child.id().to_string()])
+        .status();
+    assert!(!child.wait().expect("wait for killed serve").success());
+
+    // The kill tore the final record mid-write.
+    std::fs::OpenOptions::new()
+        .append(true)
+        .open(&cut_journal)
+        .expect("open killed journal")
+        .write_all(b"{\"v\":1,\"kind\":\"job\",\"session\":\"s")
+        .expect("tear the tail");
+
+    let resumed = serve_run(&script, &cut_log, &cut_journal, &["--resume"]);
+    assert!(resumed.status.success(), "{resumed:?}");
+    let ref_text = std::fs::read_to_string(&ref_journal).expect("reference journal");
+    assert_eq!(
+        std::fs::read_to_string(&cut_journal).expect("resumed journal"),
+        ref_text,
+        "the resumed journal must equal the uninterrupted one"
+    );
+    assert_eq!(
+        std::fs::read(&cut_log).expect("resumed log"),
+        std::fs::read(&ref_log).expect("reference log")
+    );
+
+    // The repaired journal resumes again.
+    let again = serve_run(&script, &cut_log, &cut_journal, &["--resume"]);
+    assert!(again.status.success(), "second resume: {again:?}");
+    assert_eq!(
+        std::fs::read_to_string(&cut_journal).expect("journal"),
+        ref_text
+    );
+
+    for p in [&script, &ref_log, &ref_journal, &cut_log, &cut_journal] {
+        let _ = std::fs::remove_file(p);
+    }
 }

@@ -1,25 +1,25 @@
 //! Crash-safe checkpointing for `fjs serve` sessions.
 //!
-//! A [`ServeJournal`] is an append-only JSONL file in the same flat-object
-//! line grammar as the supervise layer's sweep journal
-//! ([`crate::supervise::journal`], whose escape/parse helpers it reuses):
-//! one self-contained record per protocol request that changed session
-//! state — `open`, `job`, `close`. Replaying those records through fresh
+//! A [`ServeJournal`] is the shared append-only log
+//! ([`crate::supervise::journal::AppendLog`]) of [`ServeEvent`]s: one
+//! self-contained record per protocol request that changed session state —
+//! `open`, `job`, `close`. Replaying those records through fresh
 //! [`Session`](crate::service::Session)s reproduces the daemon's state
 //! bit-for-bit, because sessions are deterministic functions of their
 //! offer streams; the decision log of a killed-and-resumed daemon is
 //! byte-identical to an uninterrupted run's.
 //!
-//! Durability contract (mirrors the sweep journal):
+//! The durability contract is the shared log's:
 //!
-//! * every record is written and flushed on append, and fsynced every
-//!   [`ServeJournal::with_sync_every`] records (default
-//!   [`DEFAULT_SYNC_EVERY`]) and on [`ServeJournal::sync`];
-//! * a torn trailing line (the process died mid-write) is silently
-//!   dropped on load — the corresponding request is simply re-consumed
-//!   from the input stream;
-//! * interior garbage is a hard [`ServeJournalError::Corrupt`] — that is
-//!   data loss, not a crash artifact, and resuming from it would
+//! * every record is written before `append` returns, and synced every
+//!   `--checkpoint-every` records (default [`DEFAULT_SYNC_EVERY`]) and on
+//!   `sync`;
+//! * a torn trailing line (the process died mid-write) is dropped on load
+//!   and cut off the file before the resumed daemon appends — the
+//!   corresponding request is simply re-consumed from the input stream;
+//! * interior garbage is a hard
+//!   [`JournalError::Corrupt`](crate::supervise::JournalError::Corrupt) —
+//!   that is data loss, not a crash artifact, and resuming from it would
 //!   fabricate decisions.
 //!
 //! The governor's state (per-tenant admitted-byte usage, circuit-breaker
@@ -30,18 +30,15 @@
 //! bump. [`ServeEvent::payload_bytes`] is the replay-side hook for the
 //! byte accounting.
 
-use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use crate::supervise::journal::{escape, AppendLog, Fields, Record};
 
-use crate::supervise::journal::{escape, parse_fields, unescape};
+pub use crate::supervise::journal::DEFAULT_SYNC_EVERY;
 
 /// Journal format version.
 pub const SERVE_JOURNAL_VERSION: u32 = 1;
 
-/// Default records between fsyncs.
-pub const DEFAULT_SYNC_EVERY: usize = 32;
+/// The append-only serve journal (see module docs).
+pub type ServeJournal = AppendLog<ServeEvent>;
 
 /// One replayable state-changing request.
 ///
@@ -126,8 +123,10 @@ impl ServeEvent {
             _ => None,
         }
     }
+}
 
-    fn serialize(&self) -> String {
+impl Record for ServeEvent {
+    fn to_line(&self) -> String {
         match self {
             ServeEvent::Open {
                 session,
@@ -155,35 +154,20 @@ impl ServeEvent {
         }
     }
 
-    fn parse(text: &str) -> Result<ServeEvent, String> {
-        let fields = parse_fields(text)?;
-        let get = |key: &str| -> Result<&str, String> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.as_str())
-                .ok_or_else(|| format!("missing field '{key}'"))
-        };
-        let version: u32 = get("v")?.parse().map_err(|_| "bad version".to_string())?;
-        if version != SERVE_JOURNAL_VERSION {
-            return Err(format!("unsupported journal version {version}"));
-        }
-        let session = unescape(get("session")?)?;
-        let line: u64 = get("line")?
-            .parse()
-            .map_err(|_| "bad line number".to_string())?;
+    fn parse_line(text: &str) -> Result<ServeEvent, String> {
+        let fields = Fields::parse(text, SERVE_JOURNAL_VERSION)?;
+        let session = fields.get("session")?.to_string();
+        let line = fields.num("line")?;
         let num = |key: &str| -> Result<f64, String> {
-            let v: f64 = get(key)?
-                .parse()
-                .map_err(|_| format!("bad number in '{key}'"))?;
+            let v: f64 = fields.num(key)?;
             if !v.is_finite() {
                 return Err(format!("non-finite '{key}'"));
             }
             Ok(v)
         };
-        match get("kind")? {
+        match fields.get("kind")? {
             "open" => Ok(ServeEvent::Open {
-                scheduler: unescape(get("scheduler")?)?,
+                scheduler: fields.get("scheduler")?.to_string(),
                 session,
                 line,
             }),
@@ -200,153 +184,13 @@ impl ServeEvent {
     }
 }
 
-/// Why a journal failed to load or persist.
-#[derive(Debug)]
-pub enum ServeJournalError {
-    /// Filesystem failure.
-    Io(std::io::Error),
-    /// An interior record is unreadable (not a torn tail).
-    Corrupt {
-        /// 1-based line in the journal file.
-        line: usize,
-        /// What the parser objected to.
-        why: String,
-    },
-}
-
-impl fmt::Display for ServeJournalError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServeJournalError::Io(e) => write!(f, "journal io error: {e}"),
-            ServeJournalError::Corrupt { line, why } => {
-                write!(f, "journal corrupt at line {line}: {why}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ServeJournalError {}
-
-impl From<std::io::Error> for ServeJournalError {
-    fn from(e: std::io::Error) -> Self {
-        ServeJournalError::Io(e)
-    }
-}
-
-/// Append-only checkpoint journal (see module docs).
-#[derive(Debug)]
-pub struct ServeJournal {
-    path: PathBuf,
-    file: File,
-    sync_every: usize,
-    since_sync: usize,
-    records: u64,
-}
-
-impl ServeJournal {
-    /// Creates (truncating) the journal at `path`. The empty file is
-    /// persisted immediately, so "exists but empty" always means "a fresh
-    /// daemon run that has checkpointed nothing yet".
-    pub fn create(path: impl AsRef<Path>) -> Result<ServeJournal, ServeJournalError> {
-        let path = path.as_ref().to_path_buf();
-        let file = File::create(&path)?;
-        file.sync_all()?;
-        Ok(ServeJournal {
-            path,
-            file,
-            sync_every: DEFAULT_SYNC_EVERY,
-            since_sync: 0,
-            records: 0,
-        })
-    }
-
-    /// Opens the journal at `path` for appending (resume continuation).
-    pub fn open_append(path: impl AsRef<Path>) -> Result<ServeJournal, ServeJournalError> {
-        let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new().append(true).create(true).open(&path)?;
-        Ok(ServeJournal {
-            path,
-            file,
-            sync_every: DEFAULT_SYNC_EVERY,
-            since_sync: 0,
-            records: 0,
-        })
-    }
-
-    /// Sets how many records may accumulate between fsyncs (0 or 1 means
-    /// every record).
-    pub fn with_sync_every(mut self, n: usize) -> ServeJournal {
-        self.sync_every = n.max(1);
-        self
-    }
-
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Records appended through this handle.
-    pub fn records_appended(&self) -> u64 {
-        self.records
-    }
-
-    /// Appends one record (write + flush; fsync per the sync policy).
-    pub fn append(&mut self, event: &ServeEvent) -> Result<(), ServeJournalError> {
-        let mut line = event.serialize();
-        line.push('\n');
-        self.file.write_all(line.as_bytes())?;
-        self.records += 1;
-        self.since_sync += 1;
-        if self.since_sync >= self.sync_every {
-            self.sync()?;
-        }
-        Ok(())
-    }
-
-    /// Forces the journal to durable storage.
-    pub fn sync(&mut self) -> Result<(), ServeJournalError> {
-        self.file.sync_all()?;
-        self.since_sync = 0;
-        Ok(())
-    }
-
-    /// Loads every intact record from `path`. A missing file is an empty
-    /// journal; a torn final line is dropped; interior garbage is
-    /// [`ServeJournalError::Corrupt`].
-    pub fn load(path: impl AsRef<Path>) -> Result<Vec<ServeEvent>, ServeJournalError> {
-        let text = match std::fs::read_to_string(path.as_ref()) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(ServeJournalError::Io(e)),
-        };
-        let lines: Vec<&str> = text.split('\n').collect();
-        let mut events = Vec::new();
-        for (idx, raw) in lines.iter().enumerate() {
-            let trimmed = raw.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            match ServeEvent::parse(trimmed) {
-                Ok(ev) => events.push(ev),
-                Err(why) => {
-                    let is_tail = lines[idx + 1..].iter().all(|l| l.trim().is_empty());
-                    if is_tail {
-                        break; // torn final record: crash artifact, drop it
-                    }
-                    return Err(ServeJournalError::Corrupt { line: idx + 1, why });
-                }
-            }
-        }
-        Ok(events)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::session::{Decision, JobOffer, Session, SessionVerdict};
+    use crate::service::session::{Decision, JobOffer, Session};
     use crate::sim::env::Clairvoyance;
     use crate::sim::sched::{Arrival, Ctx, OnlineScheduler};
+    use crate::supervise::{JournalError, Verdict};
     use crate::time::{dur, t};
 
     struct Eager;
@@ -422,8 +266,8 @@ mod tests {
             "{\"v\":1,\"kind\":\"close\",\"session\":\"alpha\",\"line\":4}",
         ];
         for (ev, want) in sample_events().iter().zip(golden) {
-            assert_eq!(ev.serialize(), want);
-            assert_eq!(&ServeEvent::parse(want).unwrap(), ev);
+            assert_eq!(ev.to_line(), want);
+            assert_eq!(&ServeEvent::parse_line(want).unwrap(), ev);
         }
     }
 
@@ -455,7 +299,7 @@ mod tests {
         let broken = text.replacen("\"kind\":\"job\"", "\"kind\":\"jbo\"", 1);
         std::fs::write(&path, &broken).unwrap();
         let err = ServeJournal::load(&path).unwrap_err();
-        let ServeJournalError::Corrupt { line, .. } = err else {
+        let JournalError::Corrupt { line, .. } = err else {
             panic!("want Corrupt, got {err:?}");
         };
         assert_eq!(line, 2);
@@ -485,7 +329,7 @@ mod tests {
                 length: dur(0.25),
             },
         ];
-        let run = |offers: &[JobOffer]| -> (Vec<Decision>, SessionVerdict) {
+        let run = |offers: &[JobOffer]| -> (Vec<Decision>, Verdict) {
             let mut s = Session::new(Box::new(Eager), Clairvoyance::Clairvoyant);
             for &o in offers {
                 s.offer(o).unwrap();
@@ -513,7 +357,7 @@ mod tests {
         }
         drop(j); // killed before close: no close record
         let (original, verdict) = run(&offers);
-        assert_eq!(verdict, SessionVerdict::Completed);
+        assert_eq!(verdict, Verdict::Completed);
         // Resumed daemon: rebuild offers from the journal, replay.
         let mut replayed_offers = Vec::new();
         for ev in ServeJournal::load(&path).unwrap() {

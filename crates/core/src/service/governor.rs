@@ -200,7 +200,7 @@ impl TenantBreakers {
     }
 
     /// Records a close verdict (and ticks the clock — closes are applied
-    /// events too). `completed` is `SessionVerdict::is_completed`.
+    /// events too). `completed` is `Verdict::is_completed`.
     pub fn note_close(&mut self, sid: &str, completed: bool) {
         if self.cfg.threshold == 0 {
             return;

@@ -8,9 +8,9 @@
 //!
 //! * [`session`] — the per-session drive loop: a verbatim mirror of the
 //!   batch engine's event ordering and action validation, plus panic
-//!   containment ([`SessionVerdict`]), a cumulative watchdog budget, span
-//!   accounting via [`crate::interval::SpanAccountant`], and completed-
-//!   record compaction;
+//!   containment ([`Verdict`](crate::supervise::Verdict)), a cumulative
+//!   watchdog budget, span accounting via
+//!   [`crate::interval::SpanAccountant`], and completed-record compaction;
 //! * [`checkpoint`] — the crash-safe [`ServeJournal`] that makes a killed
 //!   daemon resumable to a byte-identical decision log;
 //! * [`pool`] — the multi-core worker pool: sessions sharded across
@@ -33,9 +33,7 @@ pub mod governor;
 pub mod pool;
 pub mod session;
 
-pub use checkpoint::{
-    ServeEvent, ServeJournal, ServeJournalError, DEFAULT_SYNC_EVERY, SERVE_JOURNAL_VERSION,
-};
+pub use checkpoint::{ServeEvent, ServeJournal, DEFAULT_SYNC_EVERY, SERVE_JOURNAL_VERSION};
 pub use governor::{
     tenant_of, BreakerConfig, OpenDecision, TenantBreakers, TenantQuotas, TenantShedCause,
 };
@@ -43,4 +41,4 @@ pub use pool::{
     stable_shard, PoolReply, PoolRequest, SessionFactory, SessionPool, SessionSnapshot, Waker,
     WorkerReport,
 };
-pub use session::{Decision, DecisionKind, JobOffer, Session, SessionError, SessionVerdict};
+pub use session::{Decision, DecisionKind, JobOffer, Session, SessionError};

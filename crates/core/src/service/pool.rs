@@ -71,8 +71,9 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use super::governor::{tenant_of, TenantQuotas, TenantShedCause};
-use super::session::{Decision, JobOffer, Session, SessionError, SessionVerdict};
+use super::session::{Decision, JobOffer, Session, SessionError};
 use crate::job::JobId;
+use crate::supervise::Verdict;
 use crate::time::Dur;
 
 /// Builds a session from a scheduler spec string, on the worker thread
@@ -171,14 +172,14 @@ pub enum PoolReply {
     /// (the mutation happened, so the request must still be journaled).
     OfferPoisoned {
         /// The terminal verdict.
-        verdict: SessionVerdict,
+        verdict: Verdict,
         /// Decisions emitted before the poison landed.
         decisions: Vec<Decision>,
     },
     /// The session was already terminal; nothing was mutated.
     OfferTerminal {
         /// The pre-existing terminal verdict.
-        verdict: SessionVerdict,
+        verdict: Verdict,
     },
     /// The per-session resident-job cap would be exceeded; shed.
     OfferShed {
@@ -209,7 +210,7 @@ pub enum PoolReply {
     /// The session closed.
     Closed {
         /// Terminal verdict.
-        verdict: SessionVerdict,
+        verdict: Verdict,
         /// Final span.
         span: Dur,
         /// Jobs admitted over the session's lifetime.

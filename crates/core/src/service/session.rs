@@ -21,10 +21,10 @@
 //!   `World::compact_completed_prefix`, so resident state is proportional
 //!   to the jobs in flight, not the jobs ever seen.
 //! * **Containment.** Every entry point runs the scheduler under
-//!   [`catch_unwind`] with a cumulative event budget; a panic, a runaway
+//!   [`contain_panic`] with a cumulative event budget; a panic, a runaway
 //!   wakeup loop, or a horizon overflow poisons *this* session with a
-//!   typed [`SessionVerdict`] (mirroring the supervise layer's verdicts)
-//!   and leaves every other session untouched.
+//!   typed [`Verdict`] (the supervise layer's) and leaves every other
+//!   session untouched.
 //! * **Incremental output.** Start/finish [`Decision`]s carry the running
 //!   span and are drained by the caller as they happen; nothing waits for
 //!   the end of the trace.
@@ -32,7 +32,6 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::interval::{Interval, SpanAccountant};
 use crate::job::JobId;
@@ -40,7 +39,7 @@ use crate::sim::env::{geometric_class, Clairvoyance};
 use crate::sim::sched::{Action, Arrival, Ctx, OnlineScheduler};
 use crate::sim::stats::RunStats;
 use crate::sim::world::World;
-use crate::supervise::{panic_message, DEFAULT_WATCHDOG_EVENTS};
+use crate::supervise::{contain_panic, Verdict, DEFAULT_WATCHDOG_EVENTS};
 use crate::time::{Dur, Time};
 
 // ---- event queue (verbatim mirror of the batch engine's ordering) -------
@@ -147,7 +146,7 @@ impl fmt::Write for ByteCounter {
 #[derive(Clone, PartialEq, Debug)]
 pub enum SessionError {
     /// The session already reached a terminal verdict and accepts nothing.
-    Terminal(SessionVerdict),
+    Terminal(Verdict),
     /// The offer's arrival precedes an earlier offer — sessions consume
     /// arrival-ordered streams, exactly like the batch engine's
     /// environments (which fault a release into the past).
@@ -191,64 +190,6 @@ impl fmt::Display for SessionError {
 
 impl std::error::Error for SessionError {}
 
-/// How a session ended — the service-layer mirror of
-/// [`SuperviseVerdict`](crate::supervise::SuperviseVerdict), with the same
-/// stable labels.
-#[derive(Clone, PartialEq, Debug)]
-pub enum SessionVerdict {
-    /// Drained cleanly: every admitted job started and completed.
-    Completed,
-    /// The cumulative event budget was exhausted (e.g. a wakeup loop from
-    /// a hanging scheduler). Fields: events processed when the watchdog
-    /// fired.
-    TimedOut {
-        /// Events processed when the budget ran out.
-        events: usize,
-    },
-    /// The scheduler (or a containment-tripping world access) panicked.
-    Panicked {
-        /// The panic payload, if it was a string.
-        message: String,
-    },
-    /// The session hit a simulation fault (currently only horizon
-    /// overflow: a start so late that `start + length` is not finite).
-    Faulted {
-        /// Human-readable fault description.
-        message: String,
-    },
-}
-
-impl SessionVerdict {
-    /// Stable label used in replies, logs and reports; matches the
-    /// supervise layer's verdict labels.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SessionVerdict::Completed => "completed",
-            SessionVerdict::TimedOut { .. } => "timed-out",
-            SessionVerdict::Panicked { .. } => "panicked",
-            SessionVerdict::Faulted { .. } => "faulted",
-        }
-    }
-
-    /// Whether this is the clean outcome.
-    pub fn is_completed(&self) -> bool {
-        matches!(self, SessionVerdict::Completed)
-    }
-}
-
-impl fmt::Display for SessionVerdict {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SessionVerdict::Completed => f.write_str("completed"),
-            SessionVerdict::TimedOut { events } => {
-                write!(f, "timed-out after {events} events")
-            }
-            SessionVerdict::Panicked { message } => write!(f, "panicked: {message}"),
-            SessionVerdict::Faulted { message } => write!(f, "faulted: {message}"),
-        }
-    }
-}
-
 /// What a decision stream entry records.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DecisionKind {
@@ -288,7 +229,7 @@ impl fmt::Display for Decision {
 
 /// Outcome the session tried to reach internally: `Ok` to keep going, or
 /// the terminal verdict that poisons it.
-type Step = Result<(), SessionVerdict>;
+type Step = Result<(), Verdict>;
 
 /// One resident scheduler instance (see module docs).
 pub struct Session {
@@ -300,7 +241,7 @@ pub struct Session {
     span: SpanAccountant,
     stats: RunStats,
     decisions: Vec<Decision>,
-    verdict: Option<SessionVerdict>,
+    verdict: Option<Verdict>,
     max_events: usize,
     frontier: Time,
     peak_retained: usize,
@@ -408,7 +349,7 @@ impl Session {
     }
 
     /// Terminal verdict, if the session has one.
-    pub fn verdict(&self) -> Option<&SessionVerdict> {
+    pub fn verdict(&self) -> Option<&Verdict> {
         self.verdict.as_ref()
     }
 
@@ -448,48 +389,29 @@ impl Session {
         }
         self.frontier = offer.arrival;
         self.admitted_bytes += offer.canonical_bytes();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
+        contain_panic(|| {
             self.drain_before(offer.arrival, RELEASE_ORDER)?;
             self.release_offer(offer)
-        }));
-        self.settle(outcome)
+        })
+        .map_err(|verdict| {
+            self.verdict = Some(verdict.clone());
+            SessionError::Terminal(verdict)
+        })
     }
 
     /// Declares the arrival stream finished and drains the session to
     /// quiescence (every admitted job started and completed), returning
     /// the terminal verdict. Idempotent: closing a terminal session just
     /// returns its verdict again.
-    pub fn close(&mut self) -> SessionVerdict {
+    pub fn close(&mut self) -> Verdict {
         if let Some(v) = &self.verdict {
             return v.clone();
         }
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.drain_all()));
-        let verdict = match outcome {
-            Ok(Ok(())) => SessionVerdict::Completed,
-            Ok(Err(v)) => v,
-            Err(payload) => SessionVerdict::Panicked {
-                message: panic_message(payload.as_ref()),
-            },
-        };
+        let verdict = contain_panic(|| self.drain_all())
+            .err()
+            .unwrap_or(Verdict::Completed);
         self.verdict = Some(verdict.clone());
         verdict
-    }
-
-    /// Maps a contained step outcome onto the offer result, recording the
-    /// terminal verdict if the step poisoned the session.
-    fn settle(
-        &mut self,
-        outcome: Result<Result<JobId, SessionVerdict>, Box<dyn std::any::Any + Send>>,
-    ) -> Result<JobId, SessionError> {
-        let verdict = match outcome {
-            Ok(Ok(id)) => return Ok(id),
-            Ok(Err(v)) => v,
-            Err(payload) => SessionVerdict::Panicked {
-                message: panic_message(payload.as_ref()),
-            },
-        };
-        self.verdict = Some(verdict.clone());
-        Err(SessionError::Terminal(verdict))
     }
 
     // ---- drive loop (mirrors crate::sim::engine) ---------------------
@@ -531,14 +453,14 @@ impl Session {
 
     fn budget_check(&self) -> Step {
         if self.stats.events_total >= self.max_events {
-            return Err(SessionVerdict::TimedOut {
+            return Err(Verdict::TimedOut {
                 events: self.stats.events_total,
             });
         }
         Ok(())
     }
 
-    fn release_offer(&mut self, offer: JobOffer) -> Result<JobId, SessionVerdict> {
+    fn release_offer(&mut self, offer: JobOffer) -> Result<JobId, Verdict> {
         self.budget_check()?;
         self.advance(offer.arrival);
         self.stats.release_events += 1;
@@ -578,7 +500,7 @@ impl Session {
                 let length = match self.world.job(id).length() {
                     Some(p) => p,
                     None => {
-                        return Err(SessionVerdict::Faulted {
+                        return Err(Verdict::Faulted {
                             message: format!("completing {id} with no ruled length"),
                         })
                     }
@@ -693,7 +615,7 @@ impl Session {
         let length = match self.world.job(id).length() {
             Some(p) => p,
             None => {
-                return Err(SessionVerdict::Faulted {
+                return Err(Verdict::Faulted {
                     message: format!("starting {id} with no ruled length"),
                 })
             }
@@ -701,7 +623,7 @@ impl Session {
         // Same horizon guard as the batch engine: a completion time that
         // leaves f64 range would corrupt the event order.
         if !(at.get() + length.get()).is_finite() {
-            return Err(SessionVerdict::Faulted {
+            return Err(Verdict::Faulted {
                 message: format!("horizon overflow: {id} started at {at} with length {length}"),
             });
         }
@@ -822,7 +744,7 @@ mod tests {
     fn session_outcome(
         sched: Box<dyn OnlineScheduler>,
         offers: &[JobOffer],
-    ) -> (Vec<Decision>, Dur, SessionVerdict) {
+    ) -> (Vec<Decision>, Dur, Verdict) {
         let mut s = Session::new(sched, Clairvoyance::Clairvoyant);
         for &o in offers {
             s.offer(o).unwrap();
@@ -853,7 +775,7 @@ mod tests {
             let batch = run_static(&inst, Clairvoyance::Clairvoyant, mk());
             assert!(batch.termination.is_completed(), "{label}: batch completed");
             let (decisions, span, verdict) = session_outcome(mk(), &offers);
-            assert_eq!(verdict, SessionVerdict::Completed, "{label}");
+            assert_eq!(verdict, Verdict::Completed, "{label}");
             assert_eq!(span, batch.span, "{label}: span");
             let starts: Vec<(JobId, Time)> = decisions
                 .iter()
@@ -900,7 +822,7 @@ mod tests {
         ));
         // The session is unpoisoned and still serves.
         s.offer(offer(6.0, 8.0, 1.0)).unwrap();
-        assert_eq!(s.close(), SessionVerdict::Completed);
+        assert_eq!(s.close(), Verdict::Completed);
         assert_eq!(s.stats().jobs_completed, 2);
     }
 
@@ -913,7 +835,7 @@ mod tests {
             );
             s.offer(offer(0.0, 5.0, 1.0)).unwrap();
             let err = s.offer(offer(1.0, 6.0, 1.0)).unwrap_err();
-            let SessionError::Terminal(SessionVerdict::Panicked { message }) = err else {
+            let SessionError::Terminal(Verdict::Panicked { message }) = err else {
                 panic!("want Panicked, got {err:?}");
             };
             assert_eq!(message, "poisoned on arrival 2");
@@ -932,7 +854,7 @@ mod tests {
         let mut s = Session::new(Box::new(Spinner), Clairvoyance::Clairvoyant).with_watchdog(500);
         s.offer(offer(0.0, 1.0, 1.0)).unwrap();
         let verdict = s.close();
-        let SessionVerdict::TimedOut { events } = verdict else {
+        let Verdict::TimedOut { events } = verdict else {
             panic!("want TimedOut, got {verdict:?}");
         };
         assert_eq!(events, 500);
@@ -949,7 +871,7 @@ mod tests {
             let a = 2.0 * i as f64;
             s.offer(offer(a, a + 1.0, 1.0)).unwrap();
         }
-        assert_eq!(s.close(), SessionVerdict::Completed);
+        assert_eq!(s.close(), Verdict::Completed);
         assert_eq!(s.stats().jobs_completed, n);
         assert!(
             s.peak_retained_records() <= 8,

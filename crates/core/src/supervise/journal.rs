@@ -1,31 +1,53 @@
-//! Crash-safe checkpoint journal for long sweeps (journal format v1).
+//! Append-only JSONL journals (format v1): one writer and one loader for
+//! the sweep checkpoint journal and for `fjs serve`'s journal
+//! ([`crate::service::ServeJournal`]).
 //!
-//! A [`Journal`] records one JSONL line per completed sweep **cell** — a
-//! `(target, family, seed)` triple plus the cell's result. Writers follow
-//! an atomic write-rename discipline: every [`Journal::record`] serializes
-//! the full *sorted* entry set to `<path>.tmp` and renames it over
-//! `<path>`, so a crash — even `SIGKILL` between syscalls — leaves either
-//! the previous journal or the new one on disk, never a torn file.
+//! An [`AppendLog`] holds one self-contained [`Record`] per line.
 //!
-//! Loading is additionally tolerant of a torn *trailing* line (a journal
-//! written by a plain appender, or a filesystem that lost the tail of the
-//! final sector): the damaged tail is dropped and reported through
-//! [`Journal::torn_tail`]. Garbage in the *interior* of the file is a hard
-//! error — that is corruption, not a crash artifact.
+//! * **Durability.** [`AppendLog::append`] writes the record and its
+//!   newline in one `write` before it returns, so a killed *process* loses
+//!   nothing. The file is synced (`fdatasync`: the data and the length
+//!   needed to read it back) every [`DEFAULT_SYNC_EVERY`] records (see
+//!   [`AppendLog::with_sync_every`]) and on [`AppendLog::sync`], so an OS
+//!   crash loses at most the records appended since the last sync.
+//! * **Loading.** [`AppendLog::load`] reads every intact record back. A
+//!   torn *final* record (the process died mid-write, or the filesystem
+//!   lost the tail of the last sector) is dropped, and the file is cut back
+//!   to its intact prefix, so the next append starts on a fresh line.
+//!   Garbage in the *interior* of the file is a hard
+//!   [`JournalError::Corrupt`]: that is corruption, not a crash artifact.
 //!
-//! Because the serialized form is the sorted entry set, the journal bytes
-//! are a pure function of the *set* of completed cells: a sweep killed and
-//! resumed any number of times converges to a journal byte-identical to an
-//! uninterrupted run's, which is what makes resumed reports bit-stable.
+//! A sweep [`Journal`] appends one line per completed **cell** (a
+//! `(target, family, seed)` triple plus the cell's result) in completion
+//! order, and keeps the last result per cell in memory. Its *sorted* form
+//! is written once, atomically (write `<path>.tmp`, fsync, rename), by
+//! [`Journal::compact`] when a sweep ends and by [`Journal::resume`]. So
+//! the bytes of a finished journal are a pure function of the *set* of
+//! completed cells: a sweep killed and resumed any number of times, at any
+//! shard count, converges to an uninterrupted run's bytes. A cell lost to
+//! an OS crash is simply re-run on resume: cells are deterministic.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs;
+use std::fs::{self, File, OpenOptions};
 use std::io::{ErrorKind, Write as _};
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
-/// The journal format version stamped on every line.
+/// The journal format version stamped on every sweep journal line.
 pub const JOURNAL_VERSION: u32 = 1;
+
+/// Default records between syncs of an [`AppendLog`].
+pub const DEFAULT_SYNC_EVERY: usize = 32;
+
+/// A journal record: one flat JSON object per line.
+pub trait Record: Sized {
+    /// The record's line, without the newline.
+    fn to_line(&self) -> String;
+    /// Parses a line written by [`Record::to_line`].
+    fn parse_line(line: &str) -> Result<Self, String>;
+}
 
 /// One unit of sweep work: a target run on one seeded family member.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -64,6 +86,37 @@ pub struct CellResult {
     pub retries: u32,
 }
 
+impl Record for CellResult {
+    fn to_line(&self) -> String {
+        format!(
+            "{{\"v\":{},\"target\":\"{}\",\"family\":\"{}\",\"seed\":{},\"verdict\":\"{}\",\"span\":{},\"events\":{},\"retries\":{}}}",
+            JOURNAL_VERSION,
+            escape(&self.cell.target),
+            escape(&self.cell.family),
+            self.cell.seed,
+            escape(&self.verdict),
+            self.span,
+            self.events,
+            self.retries,
+        )
+    }
+
+    fn parse_line(line: &str) -> Result<CellResult, String> {
+        let fields = Fields::parse(line, JOURNAL_VERSION)?;
+        Ok(CellResult {
+            cell: Cell {
+                target: fields.get("target")?.to_string(),
+                family: fields.get("family")?.to_string(),
+                seed: fields.num("seed")?,
+            },
+            verdict: fields.get("verdict")?.to_string(),
+            span: fields.num("span")?,
+            events: fields.num("events")?,
+            retries: fields.num("retries")?,
+        })
+    }
+}
+
 /// Errors from journal IO and decoding.
 #[derive(Debug)]
 pub enum JournalError {
@@ -90,7 +143,7 @@ impl fmt::Display for JournalError {
                 write!(f, "journal {}: {source}", path.display())
             }
             JournalError::Corrupt { line, detail } => {
-                write!(f, "journal line {line}: {detail}")
+                write!(f, "journal corrupt at line {line}: {detail}")
             }
         }
     }
@@ -98,80 +151,185 @@ impl fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-/// A checkpoint journal bound to a path on disk.
+/// Wraps an IO error with the journal path it happened on.
+fn io_err(path: &Path) -> impl FnOnce(std::io::Error) -> JournalError + '_ {
+    move |source| JournalError::Io {
+        path: path.to_path_buf(),
+        source,
+    }
+}
+
+/// An append-only log of [`Record`]s (see module docs).
+#[derive(Debug)]
+pub struct AppendLog<R> {
+    path: PathBuf,
+    file: File,
+    sync_every: usize,
+    since_sync: usize,
+    records: u64,
+    record: PhantomData<fn(&R)>,
+}
+
+impl<R: Record> AppendLog<R> {
+    /// Creates (truncating) the log at `path`. The empty file is synced at
+    /// once, so "exists but empty" always means a fresh run that has
+    /// recorded nothing yet.
+    pub fn create(path: impl AsRef<Path>) -> Result<Self, JournalError> {
+        let path = path.as_ref();
+        let file = File::create(path).map_err(io_err(path))?;
+        file.sync_all().map_err(io_err(path))?;
+        Ok(Self::on(path, file))
+    }
+
+    /// Opens the log at `path` for appending, creating it if missing.
+    /// [`AppendLog::load`] it first: loading cuts a torn tail off.
+    pub fn open_append(path: impl AsRef<Path>) -> Result<Self, JournalError> {
+        let path = path.as_ref();
+        let file = OpenOptions::new()
+            .append(true)
+            .create(true)
+            .open(path)
+            .map_err(io_err(path))?;
+        Ok(Self::on(path, file))
+    }
+
+    fn on(path: &Path, file: File) -> Self {
+        AppendLog {
+            path: path.to_path_buf(),
+            file,
+            sync_every: DEFAULT_SYNC_EVERY,
+            since_sync: 0,
+            records: 0,
+            record: PhantomData,
+        }
+    }
+
+    /// Sets how many records may accumulate between syncs (0 or 1 means
+    /// every record).
+    pub fn with_sync_every(mut self, n: usize) -> Self {
+        self.sync_every = n.max(1);
+        self
+    }
+
+    /// The log's path.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Records appended through this handle.
+    pub fn records_appended(&self) -> u64 {
+        self.records
+    }
+
+    /// Appends one record: its line and newline are written before this
+    /// returns, and synced per the sync policy.
+    pub fn append(&mut self, record: &R) -> Result<(), JournalError> {
+        let mut line = record.to_line();
+        line.push('\n');
+        self.file
+            .write_all(line.as_bytes())
+            .map_err(io_err(&self.path))?;
+        self.records += 1;
+        self.since_sync += 1;
+        if self.since_sync >= self.sync_every {
+            self.sync()?;
+        }
+        Ok(())
+    }
+
+    /// Forces the log to durable storage.
+    pub fn sync(&mut self) -> Result<(), JournalError> {
+        self.file.sync_data().map_err(io_err(&self.path))?;
+        self.since_sync = 0;
+        Ok(())
+    }
+
+    /// Loads every intact record from `path`, in file order. A missing file
+    /// is an empty log; a torn final record is dropped and cut off the file
+    /// (and a final record missing only its newline gets one), so appends
+    /// after a load start on a fresh line; interior garbage is
+    /// [`JournalError::Corrupt`].
+    pub fn load(path: impl AsRef<Path>) -> Result<Vec<R>, JournalError> {
+        let path = path.as_ref();
+        let text = match fs::read_to_string(path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) => return Err(io_err(path)(e)),
+        };
+        let mut records = Vec::new();
+        // Byte length of the prefix that holds only intact records.
+        let mut intact = 0;
+        for (idx, raw) in text.split_inclusive('\n').enumerate() {
+            let line = raw.trim();
+            if !line.is_empty() {
+                match R::parse_line(line) {
+                    Ok(record) => records.push(record),
+                    // Only the final non-empty chunk may be torn.
+                    Err(_) if text[intact + raw.len()..].trim().is_empty() => break,
+                    Err(detail) => {
+                        return Err(JournalError::Corrupt {
+                            line: idx + 1,
+                            detail,
+                        })
+                    }
+                }
+            }
+            intact += raw.len();
+        }
+        let unterminated = intact > 0 && !text[..intact].ends_with('\n');
+        if intact < text.len() || unterminated {
+            let mut file = OpenOptions::new()
+                .append(true)
+                .open(path)
+                .map_err(io_err(path))?;
+            file.set_len(intact as u64).map_err(io_err(path))?;
+            if unterminated {
+                file.write_all(b"\n").map_err(io_err(path))?;
+            }
+            file.sync_all().map_err(io_err(path))?;
+        }
+        Ok(records)
+    }
+}
+
+/// A sweep checkpoint journal bound to a path on disk (see module docs).
 #[derive(Debug)]
 pub struct Journal {
-    path: PathBuf,
+    log: AppendLog<CellResult>,
     entries: BTreeMap<Cell, CellResult>,
-    torn_tail: bool,
 }
 
 impl Journal {
     /// Starts a fresh journal at `path`, discarding any existing file. The
     /// empty journal is persisted immediately so an early kill still leaves
     /// a well-formed (empty) file behind.
-    pub fn create(path: impl Into<PathBuf>) -> Result<Journal, JournalError> {
-        let journal = Journal {
-            path: path.into(),
+    pub fn create(path: impl AsRef<Path>) -> Result<Journal, JournalError> {
+        Ok(Journal {
+            log: AppendLog::create(path)?,
             entries: BTreeMap::new(),
-            torn_tail: false,
-        };
-        journal.persist()?;
-        Ok(journal)
+        })
     }
 
-    /// Opens the journal at `path` for resumption. A missing file is an
-    /// empty journal; a torn trailing line is dropped (see
-    /// [`Journal::torn_tail`]); interior garbage is a [`JournalError::Corrupt`].
-    pub fn resume(path: impl Into<PathBuf>) -> Result<Journal, JournalError> {
-        let path = path.into();
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(JournalError::Io { path, source: e }),
-        };
-        let mut entries = BTreeMap::new();
-        let mut torn_tail = false;
-        let lines: Vec<&str> = text.split('\n').collect();
-        for (idx, raw) in lines.iter().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() {
-                continue;
-            }
-            match parse_line(line) {
-                Ok(result) => {
-                    entries.insert(result.cell.clone(), result);
-                }
-                Err(detail) => {
-                    // Only the final non-empty chunk may be torn; anything
-                    // earlier is interior corruption.
-                    let is_tail = lines[idx + 1..].iter().all(|l| l.trim().is_empty());
-                    if is_tail {
-                        torn_tail = true;
-                        break;
-                    }
-                    return Err(JournalError::Corrupt {
-                        line: idx + 1,
-                        detail,
-                    });
-                }
-            }
-        }
-        Ok(Journal {
-            path,
+    /// Opens the journal at `path` for resumption and compacts it. A
+    /// missing file is an empty journal; a torn trailing line is dropped;
+    /// interior garbage is a [`JournalError::Corrupt`]. When a cell was
+    /// recorded twice, the last record wins.
+    pub fn resume(path: impl AsRef<Path>) -> Result<Journal, JournalError> {
+        let entries = AppendLog::<CellResult>::load(&path)?
+            .into_iter()
+            .map(|r| (r.cell.clone(), r))
+            .collect();
+        let mut journal = Journal {
+            log: AppendLog::open_append(&path)?,
             entries,
-            torn_tail,
-        })
+        };
+        journal.compact()?;
+        Ok(journal)
     }
 
     /// The path this journal persists to.
     pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Whether loading dropped a torn trailing line.
-    pub fn torn_tail(&self) -> bool {
-        self.torn_tail
+        self.log.path()
     }
 
     /// Whether `cell` is already recorded as completed.
@@ -194,42 +352,41 @@ impl Journal {
         self.entries.values()
     }
 
-    /// Records a completed cell and persists the whole journal atomically.
-    /// Re-recording a cell overwrites its previous result.
+    /// Records a completed cell by appending its line. Re-recording a cell
+    /// overwrites its previous result.
     pub fn record(&mut self, result: CellResult) -> Result<(), JournalError> {
+        self.log.append(&result)?;
         self.entries.insert(result.cell.clone(), result);
-        self.persist()
+        Ok(())
     }
 
-    /// Serializes the sorted entry set (the exact bytes [`Journal::persist`]
-    /// writes). Exposed so reports and tests can compare journal content
-    /// without re-reading the file.
+    /// Serializes the sorted entry set: the exact bytes
+    /// [`Journal::compact`] writes.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for result in self.entries.values() {
-            out.push_str(&serialize_line(result));
+            out.push_str(&result.to_line());
             out.push('\n');
         }
         out
     }
 
-    /// Writes the sorted entry set to `<path>.tmp`, then renames it over
-    /// the journal path — the atomic write-rename discipline.
-    pub fn persist(&self) -> Result<(), JournalError> {
-        let mut tmp = self.path.clone().into_os_string();
+    /// Rewrites the journal as its sorted entry set: `<path>.tmp` is
+    /// written, fsynced and renamed over the journal (atomic on POSIX),
+    /// and later records append to the new file. Sweeps call this when
+    /// they end, on every exit path.
+    pub fn compact(&mut self) -> Result<(), JournalError> {
+        let path = self.log.path().to_path_buf();
+        let mut tmp = path.clone().into_os_string();
         tmp.push(".tmp");
         let tmp = PathBuf::from(tmp);
-        let io_err = |source| JournalError::Io {
-            path: self.path.clone(),
-            source,
-        };
-        let mut file = fs::File::create(&tmp).map_err(io_err)?;
-        file.write_all(self.render().as_bytes()).map_err(io_err)?;
-        // Flush file content before the rename makes it visible under the
-        // journal name; rename itself is atomic on POSIX filesystems.
-        file.sync_all().map_err(io_err)?;
-        drop(file);
-        fs::rename(&tmp, &self.path).map_err(io_err)
+        let mut file = File::create(&tmp).map_err(io_err(&path))?;
+        file.write_all(self.render().as_bytes())
+            .map_err(io_err(&path))?;
+        file.sync_all().map_err(io_err(&path))?;
+        fs::rename(&tmp, &path).map_err(io_err(&path))?;
+        self.log = AppendLog::open_append(&path)?;
+        Ok(())
     }
 }
 
@@ -249,7 +406,7 @@ pub(crate) fn escape(s: &str) -> String {
     out
 }
 
-pub(crate) fn unescape(s: &str) -> Result<String, String> {
+fn unescape(s: &str) -> Result<String, String> {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -284,23 +441,9 @@ pub(crate) fn unescape(s: &str) -> Result<String, String> {
     Ok(out)
 }
 
-fn serialize_line(r: &CellResult) -> String {
-    format!(
-        "{{\"v\":{},\"target\":\"{}\",\"family\":\"{}\",\"seed\":{},\"verdict\":\"{}\",\"span\":{},\"events\":{},\"retries\":{}}}",
-        JOURNAL_VERSION,
-        escape(&r.cell.target),
-        escape(&r.cell.family),
-        r.cell.seed,
-        escape(&r.verdict),
-        r.span,
-        r.events,
-        r.retries,
-    )
-}
-
 /// A minimal flat-object JSON scanner for journal lines: one `{...}` object
 /// of scalar fields. Strings may contain the escapes [`escape`] emits.
-pub(crate) fn parse_fields(line: &str) -> Result<Vec<(String, String)>, String> {
+fn parse_fields(line: &str) -> Result<Vec<(String, String)>, String> {
     let inner = line
         .strip_prefix('{')
         .and_then(|s| s.strip_suffix('}'))
@@ -352,38 +495,35 @@ pub(crate) fn parse_fields(line: &str) -> Result<Vec<(String, String)>, String> 
     Ok(fields)
 }
 
-fn parse_line(line: &str) -> Result<CellResult, String> {
-    let fields = parse_fields(line)?;
-    let get = |key: &str| -> Result<&str, String> {
-        fields
+/// The fields of one parsed journal line, looked up by key.
+pub(crate) struct Fields(Vec<(String, String)>);
+
+impl Fields {
+    /// Parses `line` and checks its `v` stamp against `version`.
+    pub(crate) fn parse(line: &str, version: u32) -> Result<Fields, String> {
+        let fields = Fields(parse_fields(line)?);
+        let v: u32 = fields.num("v")?;
+        if v != version {
+            return Err(format!("unsupported journal version {v}"));
+        }
+        Ok(fields)
+    }
+
+    /// The (unescaped) value of `key`.
+    pub(crate) fn get(&self, key: &str) -> Result<&str, String> {
+        self.0
             .iter()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
             .ok_or_else(|| format!("missing field '{key}'"))
-    };
-    let version: u32 = get("v")?.parse().map_err(|_| "bad version".to_string())?;
-    if version != JOURNAL_VERSION {
-        return Err(format!("unsupported journal version {version}"));
     }
-    let seed: u64 = get("seed")?.parse().map_err(|_| "bad seed".to_string())?;
-    let span: f64 = get("span")?.parse().map_err(|_| "bad span".to_string())?;
-    let events: usize = get("events")?
-        .parse()
-        .map_err(|_| "bad events".to_string())?;
-    let retries: u32 = get("retries")?
-        .parse()
-        .map_err(|_| "bad retries".to_string())?;
-    Ok(CellResult {
-        cell: Cell {
-            target: get("target")?.to_string(),
-            family: get("family")?.to_string(),
-            seed,
-        },
-        verdict: get("verdict")?.to_string(),
-        span,
-        events,
-        retries,
-    })
+
+    /// The value of `key`, parsed.
+    pub(crate) fn num<T: FromStr>(&self, key: &str) -> Result<T, String> {
+        self.get(key)?
+            .parse()
+            .map_err(|_| format!("bad number in '{key}'"))
+    }
 }
 
 #[cfg(test)]
@@ -417,8 +557,8 @@ mod tests {
     fn line_round_trip() {
         for i in 0..32 {
             let r = sample(i);
-            let line = serialize_line(&r);
-            assert_eq!(parse_line(&line).unwrap(), r, "{line}");
+            let line = r.to_line();
+            assert_eq!(CellResult::parse_line(&line).unwrap(), r, "{line}");
         }
     }
 
@@ -435,8 +575,8 @@ mod tests {
             events: 3,
             retries: 0,
         };
-        let line = serialize_line(&r);
-        assert_eq!(parse_line(&line).unwrap(), r, "{line}");
+        let line = r.to_line();
+        assert_eq!(CellResult::parse_line(&line).unwrap(), r, "{line}");
     }
 
     #[test]
@@ -448,7 +588,6 @@ mod tests {
         }
         let back = Journal::resume(&path).unwrap();
         assert_eq!(back.len(), j.len());
-        assert!(!back.torn_tail());
         for r in j.entries() {
             assert!(back.contains(&r.cell));
         }
@@ -460,7 +599,6 @@ mod tests {
     fn missing_file_resumes_empty() {
         let j = Journal::resume(tmp_path("missing-nonexistent")).unwrap();
         assert!(j.is_empty());
-        assert!(!j.torn_tail());
     }
 
     #[test]
@@ -475,8 +613,12 @@ mod tests {
         // Truncate mid-final-line: the tail is dropped, the rest loads.
         fs::write(&path, &full[..full.len() - 8]).unwrap();
         let back = Journal::resume(&path).unwrap();
-        assert!(back.torn_tail());
         assert_eq!(back.len(), 4);
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            back.render(),
+            "resume must cut the torn tail off the file"
+        );
 
         // Garbage in the interior is corruption, not a torn tail.
         let mut lines: Vec<&str> = full.lines().collect();
@@ -501,6 +643,8 @@ mod tests {
         for i in (0..12).rev() {
             b.record(sample(i)).unwrap();
         }
+        a.compact().unwrap();
+        b.compact().unwrap();
         assert_eq!(
             fs::read(&a_path).unwrap(),
             fs::read(&b_path).unwrap(),
@@ -525,6 +669,7 @@ mod tests {
             for r in &results {
                 uninterrupted.record(r.clone()).unwrap();
             }
+            uninterrupted.compact().unwrap();
             let full_bytes = fs::read(&path).unwrap();
 
             // Kill: keep a random prefix of the file.
@@ -545,8 +690,56 @@ mod tests {
             for r in missing {
                 resumed.record(r.clone()).unwrap();
             }
+            resumed.compact().unwrap();
             assert_eq!(fs::read(&path).unwrap(), full_bytes, "cut at byte {cut}");
         });
+        let _ = fs::remove_file(&path);
+    }
+
+    /// `record` appends one line in place: the file is never replaced, and
+    /// it grows by exactly the recorded line.
+    #[cfg(unix)]
+    #[test]
+    fn record_appends_in_place() {
+        use std::os::unix::fs::MetadataExt;
+        let path = tmp_path("append");
+        let mut j = Journal::create(&path).unwrap();
+        let ino = fs::metadata(&path).unwrap().ino();
+        for i in 0..10 {
+            let before = fs::metadata(&path).unwrap().len();
+            let line = sample(i).to_line();
+            j.record(sample(i)).unwrap();
+            let meta = fs::metadata(&path).unwrap();
+            assert_eq!(meta.ino(), ino, "record {i} replaced the file");
+            assert_eq!(meta.len(), before + line.len() as u64 + 1, "record {i}");
+        }
+        let _ = fs::remove_file(&path);
+    }
+
+    /// Loading cuts a torn tail off the file, so the next append starts on
+    /// a fresh line and the log loads cleanly again.
+    #[test]
+    fn load_cuts_the_torn_tail_before_append() {
+        let path = tmp_path("cut");
+        let mut log = AppendLog::<CellResult>::create(&path).unwrap();
+        for i in 0..3 {
+            log.append(&sample(i)).unwrap();
+        }
+        drop(log);
+        let intact = fs::read_to_string(&path).unwrap();
+        fs::write(&path, format!("{intact}{{\"v\":1,\"target\":\"t")).unwrap();
+        assert_eq!(AppendLog::<CellResult>::load(&path).unwrap().len(), 3);
+        assert_eq!(fs::read_to_string(&path).unwrap(), intact);
+
+        // A final record that lost only its newline is kept and terminated.
+        fs::write(&path, intact.trim_end()).unwrap();
+        assert_eq!(AppendLog::<CellResult>::load(&path).unwrap().len(), 3);
+        assert_eq!(fs::read_to_string(&path).unwrap(), intact);
+
+        let mut log = AppendLog::<CellResult>::open_append(&path).unwrap();
+        log.append(&sample(3)).unwrap();
+        let back = AppendLog::<CellResult>::load(&path).unwrap();
+        assert_eq!(back, (0..4).map(sample).collect::<Vec<_>>());
         let _ = fs::remove_file(&path);
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! Everything here is deterministic: the retry backoff jitter is drawn from
 //! a seeded [`fjs_prng::SmallRng`], the watchdog is an *event* budget (not
-//! wall clock), and the journal serializes its sorted entry set — so a
+//! wall clock), and a finished journal is its sorted entry set — so a
 //! supervised sweep is a pure function of its configuration, kills and all.
 //!
 //! A note on scope: the watchdog bounds *engine events*, which contains
@@ -23,7 +23,9 @@
 
 pub mod journal;
 
-pub use journal::{Cell, CellResult, Journal, JournalError, JOURNAL_VERSION};
+pub use journal::{
+    AppendLog, Cell, CellResult, Journal, JournalError, Record, DEFAULT_SYNC_EVERY, JOURNAL_VERSION,
+};
 
 use crate::job::JobId;
 use crate::sim::{
@@ -85,7 +87,7 @@ impl RetryPolicy {
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct SuperviseConfig {
     /// Watchdog: the run is cut off after this many engine events and
-    /// reported as [`SuperviseVerdict::TimedOut`].
+    /// reported as [`Verdict::TimedOut`].
     pub watchdog_events: usize,
     /// Retry policy for transient environment faults.
     pub retry: RetryPolicy,
@@ -111,10 +113,11 @@ pub struct RetryRecord {
     pub backoff_ms: u64,
 }
 
-/// How a supervised run ended.
+/// How a supervised run or a served session ended: one verdict for the
+/// sweep supervisor and `fjs serve` sessions, with stable labels.
 #[derive(Clone, PartialEq, Debug)]
-pub enum SuperviseVerdict {
-    /// The run drained naturally.
+pub enum Verdict {
+    /// The run drained naturally: every admitted job started and completed.
     Completed,
     /// The watchdog event budget cut the run off (runaway scheduler or
     /// environment loop).
@@ -127,51 +130,62 @@ pub enum SuperviseVerdict {
         /// The panic payload, rendered.
         message: String,
     },
-    /// A non-transient environment fault, or a transient one that survived
-    /// every retry.
+    /// A simulation fault: for [`supervise`], a non-transient environment
+    /// fault or a transient one that survived every retry (the typed
+    /// [`EnvFault`] stays in the outcome's [`Termination`]); for a session,
+    /// a horizon overflow.
     Faulted {
-        /// The final fault.
-        fault: EnvFault,
+        /// The fault, rendered.
+        message: String,
     },
 }
 
-impl SuperviseVerdict {
-    /// Stable lowercase label (used in journals and reports).
+impl Verdict {
+    /// Stable lowercase label (used in journals, replies and reports).
     pub fn label(&self) -> &'static str {
         match self {
-            SuperviseVerdict::Completed => "completed",
-            SuperviseVerdict::TimedOut { .. } => "timed-out",
-            SuperviseVerdict::Panicked { .. } => "panicked",
-            SuperviseVerdict::Faulted { .. } => "faulted",
+            Verdict::Completed => "completed",
+            Verdict::TimedOut { .. } => "timed-out",
+            Verdict::Panicked { .. } => "panicked",
+            Verdict::Faulted { .. } => "faulted",
         }
     }
 
     /// Whether the run drained naturally.
     pub fn is_completed(&self) -> bool {
-        matches!(self, SuperviseVerdict::Completed)
+        matches!(self, Verdict::Completed)
     }
 }
 
-impl fmt::Display for SuperviseVerdict {
+impl fmt::Display for Verdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SuperviseVerdict::Completed => write!(f, "completed"),
-            SuperviseVerdict::TimedOut { events } => {
-                write!(f, "timed out after {events} events")
-            }
-            SuperviseVerdict::Panicked { message } => write!(f, "panicked: {message}"),
-            SuperviseVerdict::Faulted { fault } => write!(f, "faulted: {fault}"),
+            Verdict::Completed => f.write_str("completed"),
+            Verdict::TimedOut { events } => write!(f, "timed-out after {events} events"),
+            Verdict::Panicked { message } => write!(f, "panicked: {message}"),
+            Verdict::Faulted { message } => write!(f, "faulted: {message}"),
         }
     }
+}
+
+/// Runs `f` under [`catch_unwind`]; a panic becomes [`Verdict::Panicked`]
+/// with the rendered payload. Every contained panic, in [`supervise`] and in
+/// served sessions, becomes a verdict here.
+pub fn contain_panic<T>(f: impl FnOnce() -> Result<T, Verdict>) -> Result<T, Verdict> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Err(Verdict::Panicked {
+            message: panic_message(payload.as_ref()),
+        })
+    })
 }
 
 /// The outcome of a supervised run.
 #[derive(Debug)]
 pub struct Supervised {
     /// The typed verdict.
-    pub verdict: SuperviseVerdict,
+    pub verdict: Verdict,
     /// The engine outcome of the final attempt. `None` only for
-    /// [`SuperviseVerdict::Panicked`] (the unwound attempt's state is gone).
+    /// [`Verdict::Panicked`] (the unwound attempt's state is gone).
     pub outcome: Option<SimOutcome>,
     /// Attempts made (1 + retries taken).
     pub attempts: u32,
@@ -183,15 +197,15 @@ pub struct Supervised {
 ///
 /// `factory` builds a fresh `(environment, scheduler)` pair for attempt `k`
 /// (0-based) — retries must not reuse consumed state. Each attempt runs
-/// with the watchdog event budget under [`catch_unwind`], so a poisoned
+/// with the watchdog event budget under [`contain_panic`], so a poisoned
 /// subject is reported as a typed verdict instead of killing the caller:
 ///
-/// * natural drain → [`SuperviseVerdict::Completed`];
-/// * event budget exhausted → [`SuperviseVerdict::TimedOut`];
-/// * panic → [`SuperviseVerdict::Panicked`] (payload rendered);
+/// * natural drain → [`Verdict::Completed`];
+/// * event budget exhausted → [`Verdict::TimedOut`];
+/// * panic → [`Verdict::Panicked`] (payload rendered);
 /// * environment fault → retried with exponential backoff while
 ///   [`EnvFault::is_transient`] and retries remain, else
-///   [`SuperviseVerdict::Faulted`]; every retry lands in the ledger.
+///   [`Verdict::Faulted`]; every retry lands in the ledger.
 pub fn supervise<E, S>(
     mut factory: impl FnMut(u32) -> (E, S),
     config: &SuperviseConfig,
@@ -209,59 +223,46 @@ where
             ..SimConfig::default()
         };
         let (env, sched) = factory(attempt);
-        let run = catch_unwind(AssertUnwindSafe(|| run_with_config(env, sched, sim_config)));
         let attempts = attempt + 1;
-        match run {
-            Err(payload) => {
-                return Supervised {
-                    verdict: SuperviseVerdict::Panicked {
-                        message: panic_message(payload.as_ref()),
-                    },
+        let outcome = match contain_panic(|| Ok(run_with_config(env, sched, sim_config))) {
+            Ok(outcome) => outcome,
+            Err(verdict) => {
+                break Supervised {
+                    verdict,
                     outcome: None,
                     attempts,
                     retries,
-                };
+                }
             }
-            Ok(outcome) => match outcome.termination {
-                Termination::Completed => {
-                    return Supervised {
-                        verdict: SuperviseVerdict::Completed,
-                        outcome: Some(outcome),
-                        attempts,
-                        retries,
-                    };
+        };
+        let verdict = match outcome.termination {
+            Termination::Completed => Verdict::Completed,
+            Termination::EventCapExhausted { events } => Verdict::TimedOut { events },
+            Termination::EnvironmentFault(fault)
+                if fault.is_transient() && attempt < config.retry.max_retries =>
+            {
+                let backoff_ms = config.retry.backoff_ms(attempt, &mut rng);
+                retries.push(RetryRecord {
+                    attempt,
+                    fault,
+                    backoff_ms,
+                });
+                if config.retry.sleep && backoff_ms > 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
                 }
-                Termination::EventCapExhausted { events } => {
-                    return Supervised {
-                        verdict: SuperviseVerdict::TimedOut { events },
-                        outcome: Some(outcome),
-                        attempts,
-                        retries,
-                    };
-                }
-                Termination::EnvironmentFault(fault) => {
-                    if fault.is_transient() && attempt < config.retry.max_retries {
-                        let backoff_ms = config.retry.backoff_ms(attempt, &mut rng);
-                        retries.push(RetryRecord {
-                            attempt,
-                            fault,
-                            backoff_ms,
-                        });
-                        if config.retry.sleep && backoff_ms > 0 {
-                            std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
-                        }
-                        attempt += 1;
-                        continue;
-                    }
-                    return Supervised {
-                        verdict: SuperviseVerdict::Faulted { fault },
-                        outcome: Some(outcome),
-                        attempts,
-                        retries,
-                    };
-                }
+                attempt += 1;
+                continue;
+            }
+            Termination::EnvironmentFault(fault) => Verdict::Faulted {
+                message: fault.to_string(),
             },
-        }
+        };
+        break Supervised {
+            verdict,
+            outcome: Some(outcome),
+            attempts,
+            retries,
+        };
     }
 }
 
@@ -474,11 +475,12 @@ mod tests {
             ..SuperviseConfig::default()
         };
         let sup = supervise(flaky_factory(10), &config);
+        assert!(matches!(sup.verdict, Verdict::Faulted { .. }));
         assert!(matches!(
-            sup.verdict,
-            SuperviseVerdict::Faulted {
-                fault: EnvFault::ReleaseInPast { .. }
-            }
+            sup.outcome.as_ref().map(|o| &o.termination),
+            Some(Termination::EnvironmentFault(
+                EnvFault::ReleaseInPast { .. }
+            ))
         ));
         assert_eq!(sup.attempts, 2);
         assert_eq!(sup.retries.len(), 1);
@@ -525,7 +527,7 @@ mod tests {
             )
         });
         match &sup.verdict {
-            SuperviseVerdict::Panicked { message } => {
+            Verdict::Panicked { message } => {
                 assert!(message.contains("injected panic"), "{message}");
             }
             other => panic!("expected Panicked, got {other}"),
@@ -548,7 +550,7 @@ mod tests {
             &config,
         );
         match sup.verdict {
-            SuperviseVerdict::TimedOut { events } => assert_eq!(events, 5_000),
+            Verdict::TimedOut { events } => assert_eq!(events, 5_000),
             ref other => panic!("expected TimedOut, got {other}"),
         }
         assert!(

@@ -26,6 +26,7 @@
 use fjs_core::faults::{ChaosScheduler, EnvFaultMode, FaultyEnvironment, SchedFaultMode};
 use fjs_core::job::{Instance, Job};
 use fjs_core::sim::{run_with_config, SimConfig, SimOutcome, StaticEnv, Termination};
+use fjs_core::supervise::panic_message;
 
 use crate::registry::SchedulerKind;
 
@@ -156,20 +157,10 @@ fn classify(outcome: &SimOutcome) -> Verdict {
     Verdict::Pass
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".into()
-    }
-}
-
 fn run_cell(f: impl FnOnce() -> SimOutcome + std::panic::UnwindSafe) -> Verdict {
     match std::panic::catch_unwind(f) {
         Ok(outcome) => classify(&outcome),
-        Err(payload) => Verdict::Panicked(panic_message(payload)),
+        Err(payload) => Verdict::Panicked(panic_message(payload.as_ref())),
     }
 }
 
