@@ -4,29 +4,33 @@
 //! It keeps the protocol-facing state machine (line numbering, resume
 //! cursor, quarantine, admission control) on the dispatching thread —
 //! where requests are still seen in input order — and ships session work
-//! to a [`SessionPool`] sharded by stable tenant hash. The pool's worker 0
-//! runs inline on this thread, so a request on shard 0 is applied inside
-//! [`Server::submit`]; shards `1..N` run on worker threads. Three
+//! to a [`SessionPool`] sharded by stable tenant hash. Worker 0 has no
+//! thread, so a request on shard 0 is applied inside [`Server::submit`];
+//! shards `1..N` have worker threads. The pool is work-conserving: a
+//! request whose worker has nothing outstanding is applied on this thread
+//! too, unless the frontend says more input is waiting (the `backlog`
+//! hint of [`Server::submit`]; journal replay and drain always pass it),
+//! in which case it is queued so the threads work in parallel. Three
 //! ordering domains make this deterministic without serializing the
 //! actual scheduling work:
 //!
 //! 1. **Per-session order** — all requests of one session go to one
-//!    worker over a FIFO channel, so each session evolves exactly as it
-//!    would under a single thread (simulation time advances with offers,
-//!    never with wall clock).
+//!    worker, in FIFO order whichever thread applies them, so each
+//!    session evolves exactly as it would under a single thread
+//!    (simulation time advances with offers, never with wall clock).
 //! 2. **Global sequence order** — every dispatched request gets a
 //!    sequence number; completed results are parked until contiguous and
 //!    then emitted, so decision-log and journal lines appear in input
 //!    order: byte-identical at any worker count (the same index-ordered
 //!    merge discipline as the sharded sweep executor).
 //! 3. **Per-connection order** — replies are released as soon as all of
-//!    the *same connection's* earlier requests have completed. On a
-//!    threaded shard, one tenant's slow offer (a hung scheduler burning
-//!    its watchdog budget) delays only its own connection's replies;
-//!    siblings keep flowing even while the global log emission waits for
-//!    the straggler. On shard 0 the same offer burns its budget on this
-//!    thread, so it stalls every connection for that bounded time, as
-//!    at `--workers 1`.
+//!    the *same connection's* earlier requests have completed. When a
+//!    worker thread applies it, one tenant's slow offer (a hung scheduler
+//!    burning its watchdog budget) delays only its own connection's
+//!    replies; siblings keep flowing even while the global log emission
+//!    waits for the straggler. When this thread applies it (always on
+//!    shard 0, and on an idle shard with no input waiting) it stalls
+//!    every connection for that bounded time, as at `--workers 1`.
 //!
 //! Admission control that needs the *global* open-session set
 //! (`--max-sessions`, duplicate opens, unknown sids) runs on the
@@ -155,7 +159,7 @@ pub struct Server {
 
 impl Server {
     /// Builds the dispatcher and its pool of `opts.workers` session
-    /// workers (worker 0 inline on this thread), writing decisions to
+    /// workers (worker 0 without a thread), writing decisions to
     /// `log` and journaling admitted requests to `journal` (if any).
     pub fn new(opts: ServeOptions, log: Sink, journal: Option<ServeJournal>) -> Server {
         let watchdog = opts.watchdog_events;
@@ -511,12 +515,15 @@ impl Server {
     }
 
     /// Submits a request to the pool under the next sequence slot, once
-    /// the global dispatch window has room for it.
+    /// the global dispatch window has room for it. It is applied on this
+    /// thread if its worker has nothing outstanding and no `backlog` of
+    /// input waits (see [`SessionPool::run_or_queue`]).
     fn submit_pool(
         &mut self,
         worker: usize,
         req: PoolRequest,
         meta: Inflight,
+        backlog: bool,
     ) -> Result<(), String> {
         self.settle_blocks(self.opts.max_pending.max(1) - 1);
         let seq = self.next_emit + self.window.len() as u64;
@@ -524,7 +531,7 @@ impl Server {
         self.window
             .push_back(Slot::Waiting(Inflight { reply_to, ..meta }));
         self.pool
-            .submit(worker, seq, req)
+            .run_or_queue(worker, seq, req, backlog)
             .map_err(|e| format!("worker pool: {e}"))
     }
 
@@ -533,26 +540,35 @@ impl Server {
     /// `out` (possibly for other connections). Blank and comment lines,
     /// and lines at or before the resume cursor, get no reply. `offset`
     /// and the line counter attribute quarantined lines exactly (the
-    /// batch trace reader's dead-letter provenance). `Err` only when the
-    /// pool has lost a worker thread.
+    /// batch trace reader's dead-letter provenance). `backlog` says
+    /// whether more complete input is already waiting behind this line;
+    /// it changes only which thread applies the request, never a byte of
+    /// output. `Err` only when the pool has lost a worker thread.
     pub fn submit(
         &mut self,
         conn: u64,
         offset: u64,
         raw: &str,
+        backlog: bool,
         out: &mut Vec<(u64, String)>,
     ) -> Result<(), String> {
         self.line_no += 1;
         self.summary.lines += 1;
         if self.line_no > self.cursor {
-            self.accept_line(conn, offset, raw)?;
+            self.accept_line(conn, offset, raw, backlog)?;
         }
         self.pump(out);
         Ok(())
     }
 
     /// Parses a line past the resume cursor and dispatches or answers it.
-    fn accept_line(&mut self, conn: u64, offset: u64, raw: &str) -> Result<(), String> {
+    fn accept_line(
+        &mut self,
+        conn: u64,
+        offset: u64,
+        raw: &str,
+        backlog: bool,
+    ) -> Result<(), String> {
         if self.halted() {
             self.complete_immediate(conn, "err halted".into());
             return Ok(());
@@ -562,7 +578,7 @@ impl Server {
             Ok(None) => Ok(()),
             Ok(Some(req)) => {
                 self.summary.requests += 1;
-                self.dispatch(conn, offset, req)
+                self.dispatch(conn, offset, req, backlog)
             }
             Err(reason) => {
                 let reply = self.quarantine_line(offset, raw, reason);
@@ -577,7 +593,7 @@ impl Server {
     /// none. A pool failure halts the server.
     pub fn handle_line(&mut self, offset: u64, raw: &str) -> Option<String> {
         let mut out = Vec::new();
-        if let Err(e) = self.submit(0, offset, raw, &mut out) {
+        if let Err(e) = self.submit(0, offset, raw, false, &mut out) {
             self.halt(e);
         }
         self.settle(&mut out);
@@ -604,7 +620,13 @@ impl Server {
         reply
     }
 
-    fn dispatch(&mut self, conn: u64, offset: u64, req: Request) -> Result<(), String> {
+    fn dispatch(
+        &mut self,
+        conn: u64,
+        offset: u64,
+        req: Request,
+        backlog: bool,
+    ) -> Result<(), String> {
         let line = self.line_no;
         match req {
             Request::Open { sid, spec } => {
@@ -690,6 +712,7 @@ impl Server {
                         kind: InKind::Open { spec },
                         replay: false,
                     },
+                    backlog,
                 )
             }
             Request::Job {
@@ -724,6 +747,7 @@ impl Server {
                         },
                         replay: false,
                     },
+                    backlog,
                 )
             }
             Request::Close { sid } => {
@@ -742,6 +766,7 @@ impl Server {
                         kind: InKind::Close,
                         replay: false,
                     },
+                    backlog,
                 )
             }
             Request::Stats { sid } => {
@@ -760,6 +785,7 @@ impl Server {
                         kind: InKind::Stats,
                         replay: false,
                     },
+                    backlog,
                 )
             }
             Request::StatsDaemon => {
@@ -810,6 +836,7 @@ impl Server {
                             },
                             replay: true,
                         },
+                        true,
                     )
                     .map_err(|e| format!("resume: replaying open {session}: {e}"))?;
                 }
@@ -843,6 +870,7 @@ impl Server {
                                 },
                                 replay: true,
                             },
+                            true,
                         )?;
                     }
                 }
@@ -861,6 +889,7 @@ impl Server {
                                 kind: InKind::DrainClose,
                                 replay: true,
                             },
+                            true,
                         )?;
                     }
                 }
@@ -896,6 +925,7 @@ impl Server {
                     kind: InKind::DrainClose,
                     replay: false,
                 },
+                true,
             )?;
         }
         self.settle_blocks(0);
@@ -906,11 +936,15 @@ impl Server {
         Ok(())
     }
 
-    /// Drains, shuts the pool down (folding worker peak reports into the
+    /// Drains, shuts the pool down (folding worker reports into the
     /// summary), and returns the final accounting and the log sink.
     pub fn finish(mut self) -> Result<(ServeSummary, Sink), String> {
         self.drain()?;
+        let workers = self.pool.workers();
         let report = self.pool.shutdown();
+        if workers > 1 {
+            self.summary.pool_applies = Some((report.on_dispatcher, report.on_thread));
+        }
         self.summary.peak_retained = self.summary.peak_retained.max(report.peak_retained);
         self.summary.peak_live_segments = self
             .summary

@@ -10,7 +10,8 @@
 //!
 //! One [`Server`] ([`dispatch`]) serves every worker count: sessions
 //! shard across a [`SessionPool`](fjs_core::service::SessionPool) whose
-//! worker 0 runs inline on the dispatcher thread, and a sequence-numbered
+//! worker 0 has no thread, a request whose worker is idle runs on the
+//! dispatcher thread unless more input waits, and a sequence-numbered
 //! merge keeps the decision log and journal byte-identical at any count.
 //! One `poll(2)` loop ([`net`], unix only) serves every frontend: the
 //! listeners and their connections, or the stdin / `--input` line
@@ -84,8 +85,8 @@ pub struct ServeOptions {
     pub throttle_ms: u64,
     /// Session workers. Sessions shard across a
     /// [`SessionPool`](fjs_core::service::SessionPool) by stable *tenant*
-    /// hash (so the governor's tenant quotas stay exact). Worker 0 runs
-    /// inline on the dispatcher thread; each worker above it is a thread.
+    /// hash (so the governor's tenant quotas stay exact). Worker 0 has no
+    /// thread of its own; each worker above it is a thread.
     pub workers: usize,
     /// Cap on concurrently open sessions per tenant (sid prefix before
     /// the first `.`); `0` disables. Excess `open`s shed `busy`.
@@ -213,6 +214,10 @@ pub struct ServeSummary {
     pub peak_writer_queue: usize,
     /// Transient `accept()` failures retried instead of treated as fatal.
     pub accept_retries: u64,
+    /// At more than one worker: pool requests applied on the dispatcher
+    /// thread and on worker threads. Timing-dependent, so only the exit
+    /// summary shows it (never `to_jsonl` or `stats`).
+    pub pool_applies: Option<(u64, u64)>,
     /// Set when a `halt`-policy quarantine or an I/O failure stopped the
     /// stream early.
     pub halted: Option<String>,
@@ -258,6 +263,13 @@ impl std::fmt::Display for ServeSummary {
                 "serve: net: {} oversize disconnects, {} slow clients dropped, \
                  peak writer queue {}",
                 self.oversize_disconnects, self.slow_disconnects, self.peak_writer_queue
+            )?;
+        }
+        if let Some((dispatcher, threads)) = self.pool_applies {
+            writeln!(
+                f,
+                "serve: pool: {dispatcher} requests applied on the dispatcher, \
+                 {threads} on worker threads"
             )?;
         }
         if self.quarantined > 0 {
@@ -484,13 +496,15 @@ pub fn run_script(script: &str, opts: ServeOptions) -> Result<ScriptOutcome, Str
 }
 
 /// Like [`run_script`] at `opts.workers` workers, with every line of the
-/// script in flight as soon as the dispatch window allows.
+/// script in flight as soon as the dispatch window allows. Every line but
+/// the last has input waiting behind it.
 pub fn run_script_pooled(script: &str, opts: ServeOptions) -> Result<ScriptOutcome, String> {
     let mut server = Server::new(opts, Sink::Mem(Vec::new()), None);
     let mut out: Vec<(u64, String)> = Vec::new();
     let mut offset = 0u64;
-    for line in script.split_inclusive('\n') {
-        server.submit(0, offset, line, &mut out)?;
+    let mut lines = script.split_inclusive('\n').peekable();
+    while let Some(line) = lines.next() {
+        server.submit(0, offset, line, lines.peek().is_some(), &mut out)?;
         offset += line.len() as u64;
         if server.halted() {
             break;

@@ -9,7 +9,10 @@
 //! to which completed threaded work writes a byte (the pool coalesces
 //! those wakes), so a completion wakes the loop just as a request does.
 //! A readable connection is read once and its complete lines go to the
-//! [`Server`]; after every wakeup the loop pumps the server, appends each
+//! [`Server`], each marked as backlog when another framed line of the
+//! same read or another readable input of the same wakeup comes after it
+//! (so the pool queues it for a worker thread instead of applying it on
+//! this one); after every wakeup the loop pumps the server, appends each
 //! reply to its connection's output buffer and flushes each buffer with
 //! one nonblocking `write`. For 40 µs after a wakeup that found work
 //! the loop polls without blocking, so a closed-loop client's next
@@ -447,6 +450,16 @@ enum Token {
     Conn(u64),
 }
 
+impl Token {
+    /// Whether this entry's readiness means input to read: lines, or the
+    /// EOF or error a read reports.
+    fn has_input(self, revents: i16) -> bool {
+        use sys::{POLLERR, POLLHUP, POLLIN};
+        matches!(self, Token::Source | Token::Conn(_))
+            && revents & (POLLIN | POLLHUP | POLLERR) != 0
+    }
+}
+
 /// The loop's state: listeners, live connections, the line source and
 /// replies not yet queued on their connection.
 struct Reactor {
@@ -579,23 +592,34 @@ impl Reactor {
             }
             let timeout = poll_timeout(last_ready, now, blocking, cores);
             let ready = sys::wait(&mut fds, timeout).map_err(|e| format!("serve: poll: {e}"))?;
+            // Readable inputs of this wakeup not yet read: while any is
+            // left, every line read is backlog.
+            let mut inputs = fds
+                .iter()
+                .zip(&tokens)
+                .filter(|(fd, &token)| token.has_input(fd.revents))
+                .count();
             for (fd, &token) in fds.iter().zip(&tokens) {
                 if fd.revents == 0 {
                     continue;
                 }
+                if token.has_input(fd.revents) {
+                    inputs -= 1;
+                }
+                let backlog = inputs > 0;
                 match token {
                     Token::Waker => {
                         // One read: a byte left behind keeps the pair
                         // readable, so the next poll returns at once.
                         let _ = (&*waker).read(&mut [0u8; 64]);
                     }
-                    Token::Source => self.read_source(server, throttle)?,
+                    Token::Source => self.read_source(server, throttle, backlog)?,
                     Token::Listener(i) => {
                         if let Some(what) = self.accept(i, server) {
                             return Ok(Some(what));
                         }
                     }
-                    Token::Conn(id) => self.ready(id, fd.revents, server, throttle)?,
+                    Token::Conn(id) => self.ready(id, fd.revents, server, throttle, backlog)?,
                 }
             }
             server.pump(&mut self.out);
@@ -610,8 +634,15 @@ impl Reactor {
 
     /// Reads once from the line source and submits its lines, stopping
     /// at the line where a stop request or a halt lands. At the end of
-    /// input a final line without its newline is served too.
-    fn read_source(&mut self, server: &mut Server, throttle: u64) -> Result<(), String> {
+    /// input a final line without its newline is served too. Every line
+    /// but the last of the read is backlog, and so is the last one when
+    /// `backlog` says another input is ready.
+    fn read_source(
+        &mut self,
+        server: &mut Server,
+        throttle: u64,
+        backlog: bool,
+    ) -> Result<(), String> {
         let Some(source) = self.source.as_mut() else {
             return Ok(());
         };
@@ -626,7 +657,8 @@ impl Reactor {
             source.reading = false;
             lines.extend(source.framer.finish());
         }
-        for (offset, line) in lines {
+        let last = lines.len();
+        for (i, (offset, line)) in lines.into_iter().enumerate() {
             if stop_requested() || server.halted() {
                 source.reading = false;
                 break;
@@ -634,7 +666,8 @@ impl Reactor {
             if throttle > 0 {
                 std::thread::sleep(Duration::from_millis(throttle));
             }
-            server.submit(SOURCE, offset, &line, &mut self.out)?;
+            let more = backlog || i + 1 < last;
+            server.submit(SOURCE, offset, &line, more, &mut self.out)?;
         }
         Ok(())
     }
@@ -686,13 +719,14 @@ impl Reactor {
     /// Handles one connection's readiness: a flush on `POLLOUT`, one read
     /// on `POLLIN`. A hang-up on a connection no longer read drops it
     /// (nobody is left to take its replies); on one still read, the read
-    /// reports the EOF or the error.
+    /// reports the EOF or the error. `backlog` is passed to the read.
     fn ready(
         &mut self,
         id: u64,
         revents: i16,
         server: &mut Server,
         throttle: u64,
+        backlog: bool,
     ) -> Result<(), String> {
         use sys::{POLLERR, POLLHUP, POLLIN, POLLOUT};
 
@@ -707,13 +741,21 @@ impl Reactor {
             self.conns.remove(&id);
             count_lost(server, id, reading);
         } else if reading && (revents & POLLIN != 0 || hangup) {
-            self.read(id, server, throttle)?;
+            self.read(id, server, throttle, backlog)?;
         }
         Ok(())
     }
 
-    /// Reads once from a connection and submits its complete lines.
-    fn read(&mut self, id: u64, server: &mut Server, throttle: u64) -> Result<(), String> {
+    /// Reads once from a connection and submits its complete lines; every
+    /// line but the last is backlog, and the last one too when `backlog`
+    /// says another input is ready.
+    fn read(
+        &mut self,
+        id: u64,
+        server: &mut Server,
+        throttle: u64,
+        backlog: bool,
+    ) -> Result<(), String> {
         let Some(conn) = self.conns.get_mut(&id) else {
             return Ok(());
         };
@@ -740,11 +782,13 @@ impl Reactor {
             }
         };
         let (lines, oversize) = conn.framer.push(&chunk[..n]);
-        for (offset, line) in lines {
+        let last = lines.len();
+        for (i, (offset, line)) in lines.into_iter().enumerate() {
             if throttle > 0 {
                 std::thread::sleep(Duration::from_millis(throttle));
             }
-            server.submit(id, offset, &line, &mut self.out)?;
+            let more = backlog || i + 1 < last;
+            server.submit(id, offset, &line, more, &mut self.out)?;
         }
         if oversize {
             // One diagnostic reply, after those of the frames before the

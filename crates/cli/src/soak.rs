@@ -336,9 +336,12 @@ pub fn run_soak(opts: &SoakOptions) -> Result<SoakSummary, String> {
         }
         let instance = insts[si].get_or_init(|| spec.materialize());
         let result = run_cell(target, instance, cell, opts);
-        lock_journal()
-            .record(result)
-            .map_err(|e| format!("journal: {e}"))?;
+        // The guard drops at the end of this statement, so a due sync
+        // stalls only this shard, before its next cell.
+        let pending = lock_journal().record(result);
+        if let Some(sync) = pending.map_err(|e| format!("journal: {e}"))? {
+            sync.run().map_err(|e| format!("journal: {e}"))?;
+        }
         if !opts.throttle.is_zero() {
             std::thread::sleep(opts.throttle);
         }

@@ -129,6 +129,47 @@ fn worker_count_never_changes_observable_bytes() {
     }
 }
 
+/// The exit summary says where pool requests were applied, but only at
+/// more than one worker. `--input` reads many lines per wakeup, and all
+/// but the last of each read are backlog, so the worker thread applies
+/// some of them.
+#[test]
+fn exit_summary_reports_the_apply_split_only_when_pooled() {
+    let script = scratch("split-script");
+    emit_script(&script, 8, 240);
+    let mut lines = Vec::new();
+    for workers in [1u32, 2] {
+        let out = Command::new(bin())
+            .args(["serve", "--input"])
+            .arg(&script)
+            .args(["--workers", &workers.to_string()])
+            .stdout(Stdio::null())
+            .output()
+            .expect("serve --input run");
+        assert!(out.status.success(), "workers={workers}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        lines.push(
+            stderr
+                .lines()
+                .find(|l| l.starts_with("serve: pool:"))
+                .map(str::to_string),
+        );
+    }
+    let _ = std::fs::remove_file(&script);
+    assert_eq!(lines[0], None, "--workers 1 prints no pool line");
+    let line = lines[1]
+        .as_deref()
+        .expect("--workers 2 prints the pool line");
+    let counts: Vec<u64> = line
+        .split_whitespace()
+        .filter_map(|w| w.parse().ok())
+        .collect();
+    let [_, threaded] = counts[..] else {
+        panic!("two counts expected: {line}");
+    };
+    assert!(threaded > 0, "the worker thread applied nothing: {line}");
+}
+
 /// SIGKILL mid-load at 8 workers, then `--resume` at 8 workers, must
 /// converge to the uninterrupted single-worker decision log.
 #[test]

@@ -22,18 +22,39 @@
 //! have produced, and the sequence-ordered merge reproduces the
 //! one-worker interleaving byte for byte.
 //!
-//! Worker 0 runs *inline*: it applies each request on the caller's
-//! thread inside [`SessionPool::submit`] and queues the reply for
-//! [`SessionPool::try_recv`]. Workers `1..N` are resident threads, each
-//! fed by its own FIFO channel, all answering on one shared reply
-//! channel; at `--workers 1` there is no thread and no channel. So a
-//! pool of `N` workers adds `N - 1` threads to the caller's, and
-//! requests on shard 0 never cross a thread.
+//! Each worker's state sits behind a `Mutex` it shares with its thread.
+//! Worker 0 has no thread; workers `1..N` are resident threads, each fed
+//! by its own FIFO channel, all answering on one shared reply channel. So
+//! a pool of `N` workers adds `N - 1` threads to the caller's, and at
+//! `--workers 1` there is no thread and no channel.
 //!
-//! The price is isolation on shard 0. A hung scheduler there burns its
-//! watchdog event budget on the caller's thread, so a dispatcher calling
-//! `submit` serves nobody for that bounded time, as at `--workers 1`. A
-//! hung scheduler on a threaded shard still stalls only its own worker.
+//! # Work-conserving dispatch
+//!
+//! [`SessionPool::submit`] always queues a request on its worker's thread
+//! (worker 0, which has none, applies it on the caller's thread).
+//! [`SessionPool::run_or_queue`] applies a request on the caller's thread
+//! instead when two things hold: nothing queued to that worker is still
+//! waiting to be handed back by [`SessionPool::try_recv`] (or
+//! [`SessionPool::recv_timeout`]), and the caller
+//! says no other complete input is waiting. A closed-loop request to an
+//! idle shard then never crosses a thread, while under backlog the
+//! threads still run in parallel. Worker 0 is the thread-less case of the
+//! same rule: its count of queued requests is always zero.
+//!
+//! Why per-session FIFO holds: the pool counts, per worker, the requests
+//! queued to its thread whose replies it has not handed back. A thread
+//! applies a request, releases the lock, and only then sends the reply.
+//! So when the count is zero, every earlier request of that worker's
+//! sessions has been applied and the lock is free; applying the next one
+//! on the caller's thread is exactly what the thread would have done
+//! next. Requests queued after it follow it on the channel.
+//!
+//! The price is isolation. A hung scheduler burns its watchdog event
+//! budget on whichever thread applies its request, so a request that runs
+//! on the dispatcher stalls every connection for that bounded time, as at
+//! `--workers 1`. And because a session's requests may run on either
+//! thread, sessions must be `Send`, which is why
+//! [`OnlineScheduler`](crate::sim::sched::OnlineScheduler) requires it.
 //!
 //! The pool is deliberately free of any protocol or I/O concern: it
 //! receives typed [`PoolRequest`]s and returns typed [`PoolReply`]s. The
@@ -61,10 +82,11 @@
 //! swap, and the drain after it sees `R`. Both sides swap with
 //! acquire/release ordering, so a re-arm that reads a worker's cleared
 //! flag also sees that worker's send. A wake may be spurious (an earlier
-//! drain already took its reply); an empty drain is harmless. Worker 0
-//! never wakes anyone: its reply is queued before `submit` returns.
+//! drain already took its reply); an empty drain is harmless. A request
+//! applied on the caller's thread never wakes anyone: its reply is queued
+//! before the call returns.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -76,9 +98,8 @@ use crate::job::JobId;
 use crate::supervise::Verdict;
 use crate::time::Dur;
 
-/// Builds a session from a scheduler spec string, on the worker thread
-/// that will own it (sessions never cross threads, so schedulers need no
-/// `Send` bound). The callable itself must be shareable across workers.
+/// Builds a session from a scheduler spec string, on whichever thread
+/// applies the `open`. The callable must be shareable across workers.
 pub type SessionFactory = Arc<dyn Fn(&str) -> Result<Session, String> + Send + Sync>;
 
 /// Stable session-id shard assignment: FNV-1a over the id's bytes, mod
@@ -225,13 +246,19 @@ pub enum PoolReply {
     NoSession,
 }
 
-/// Peaks observed by one worker (merged into the serve summary).
+/// Peaks observed by one worker, and where its requests were applied
+/// (merged into the serve summary). The split between the dispatcher and
+/// the worker's thread depends on timing; the peaks do not.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WorkerReport {
     /// Max materialized records in any of this worker's sessions.
     pub peak_retained: usize,
     /// Max live span segments in any of this worker's sessions.
     pub peak_live_segments: usize,
+    /// Requests applied on the caller's (dispatcher's) thread.
+    pub on_dispatcher: u64,
+    /// Requests applied on the worker's own thread.
+    pub on_thread: u64,
 }
 
 impl WorkerReport {
@@ -240,10 +267,12 @@ impl WorkerReport {
         self.peak_live_segments = self.peak_live_segments.max(session.peak_live_segments());
     }
 
-    /// Pointwise max.
+    /// Pointwise max of the peaks, sum of the counts.
     pub fn merge(&mut self, other: WorkerReport) {
         self.peak_retained = self.peak_retained.max(other.peak_retained);
         self.peak_live_segments = self.peak_live_segments.max(other.peak_live_segments);
+        self.on_dispatcher += other.on_dispatcher;
+        self.on_thread += other.on_thread;
     }
 }
 
@@ -427,32 +456,46 @@ impl WakeSlot {
     }
 }
 
-/// Worker 0, applied on the caller's thread, and the replies it produced
-/// that have not been received yet.
-struct Inline {
-    worker: Worker,
-    done: VecDeque<(u64, PoolReply)>,
+/// A worker's state, shared by its thread and the caller.
+type SharedWorker = Arc<Mutex<Worker>>;
+
+fn lock(worker: &SharedWorker) -> std::sync::MutexGuard<'_, Worker> {
+    // Scheduler panics are contained inside `Session`, so only a bug in
+    // the pool itself could poison the lock; like the waker's lock, it is
+    // recovered rather than turned into a second panic.
+    worker.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The pool: worker 0 inline on the caller's thread, workers `1..N` on
-/// resident threads, with replies tagged by global sequence number.
-/// Scheduler panics are already contained inside [`Session`]; the threads
+/// One worker as the caller sees it.
+struct Shard {
+    worker: SharedWorker,
+    /// The worker thread's FIFO request channel; `None` for worker 0.
+    tx: Option<mpsc::Sender<Task>>,
+    /// Requests sent on `tx` whose replies have not been handed back.
+    queued: Cell<usize>,
+}
+
+/// The pool: worker 0 without a thread, workers `1..N` on resident
+/// threads, with replies tagged by global sequence number. Scheduler
+/// panics are already contained inside [`Session`]; the threads
 /// themselves only die if the process is torn down around them, which
 /// [`SessionPool::submit`] reports as an error.
 pub struct SessionPool {
-    inline: RefCell<Inline>,
-    /// FIFO request channels of workers `1..N`, in order.
-    txs: Vec<mpsc::Sender<Task>>,
-    /// Their shared reply channel; `None` when there are no threads.
-    rx: Option<mpsc::Receiver<(u64, PoolReply)>>,
-    handles: Vec<std::thread::JoinHandle<WorkerReport>>,
+    shards: Vec<Shard>,
+    /// Replies of requests applied on the caller's thread, not yet
+    /// handed back.
+    done: RefCell<VecDeque<(u64, PoolReply)>>,
+    /// The threads' shared reply channel, each reply tagged with its
+    /// worker; `None` when there are no threads.
+    rx: Option<mpsc::Receiver<(usize, u64, PoolReply)>>,
+    handles: Vec<std::thread::JoinHandle<()>>,
     wake: Arc<WakeSlot>,
 }
 
 impl SessionPool {
-    /// Builds the pool: worker 0 inline plus `workers - 1` threads (none
-    /// for `workers <= 1`). `max_pending` is the per-session resident-job
-    /// cap enforced on the owning worker — the worker sees its session's
+    /// Builds the pool: worker 0 plus `workers - 1` threads (none for
+    /// `workers <= 1`). `max_pending` is the per-session resident-job cap
+    /// enforced by the owning worker — the worker sees its session's
     /// exact state after all prior requests, so the shed decision is
     /// identical at every worker count. `quotas` are the per-tenant caps
     /// (off by default), exact under tenant-sharded dispatch for the same
@@ -464,37 +507,53 @@ impl SessionPool {
         factory: SessionFactory,
     ) -> SessionPool {
         let wake = Arc::new(WakeSlot::default());
-        let (mut txs, mut handles) = (Vec::new(), Vec::new());
+        let shared = || {
+            Arc::new(Mutex::new(Worker::new(
+                Arc::clone(&factory),
+                max_pending,
+                quotas,
+            )))
+        };
+        let mut shards = vec![Shard {
+            worker: shared(),
+            tx: None,
+            queued: Cell::new(0),
+        }];
+        let mut handles = Vec::new();
         let rx = (workers > 1).then(|| {
-            let (reply_tx, rx) = mpsc::channel::<(u64, PoolReply)>();
-            for _ in 1..workers {
+            let (reply_tx, rx) = mpsc::channel();
+            for index in 1..workers {
                 let (tx, task_rx) = mpsc::channel::<Task>();
+                let worker = shared();
+                let mine = Arc::clone(&worker);
                 let reply_tx = reply_tx.clone();
-                let factory = Arc::clone(&factory);
                 let wake = Arc::clone(&wake);
                 handles.push(std::thread::spawn(move || {
-                    let mut w = Worker::new(factory, max_pending, quotas);
                     while let Ok(task) = task_rx.recv() {
-                        let reply = w.handle(task.req);
-                        if reply_tx.send((task.seq, reply)).is_err() {
+                        // The lock is released before the reply is sent:
+                        // a caller that has every reply back finds it free.
+                        let reply = {
+                            let mut w = lock(&mine);
+                            w.report.on_thread += 1;
+                            w.handle(task.req)
+                        };
+                        if reply_tx.send((index, task.seq, reply)).is_err() {
                             break;
                         }
                         wake.notify();
                     }
-                    w.report
                 }));
-                txs.push(tx);
+                shards.push(Shard {
+                    worker,
+                    tx: Some(tx),
+                    queued: Cell::new(0),
+                });
             }
             rx
         });
-        let worker = Worker::new(factory, max_pending, quotas);
-        let inline = RefCell::new(Inline {
-            worker,
-            done: VecDeque::new(),
-        });
         SessionPool {
-            inline,
-            txs,
+            shards,
+            done: RefCell::new(VecDeque::new()),
             rx,
             handles,
             wake,
@@ -505,8 +564,8 @@ impl SessionPool {
     /// makes after putting a reply on the result channel, and arms it.
     /// Calls are coalesced: after one wake, the next fires only once
     /// [`SessionPool::rearm_waker`] has run. Once this returns with
-    /// `None`, the previous waker is never called again. Worker 0 never
-    /// calls it.
+    /// `None`, the previous waker is never called again. A request applied
+    /// on the caller's thread never calls it.
     pub fn set_waker(&self, waker: Option<Waker>) {
         *self.wake.waker.lock().unwrap_or_else(|e| e.into_inner()) = waker;
         self.rearm_waker();
@@ -522,48 +581,96 @@ impl SessionPool {
 
     /// Number of workers.
     pub fn workers(&self) -> usize {
-        1 + self.txs.len()
+        self.shards.len()
     }
 
-    /// Queues a request on `worker` (see [`stable_shard`]) tagged `seq`.
-    /// Worker 0 applies it before returning.
+    fn shard(&self, worker: usize) -> Result<&Shard, String> {
+        self.shards
+            .get(worker)
+            .ok_or_else(|| format!("no such worker {worker}"))
+    }
+
+    /// Queues a request on `worker`'s thread (see [`stable_shard`])
+    /// tagged `seq`. Worker 0 has no thread and applies it before
+    /// returning.
     pub fn submit(&self, worker: usize, seq: u64, req: PoolRequest) -> Result<(), String> {
-        if worker == 0 {
-            let mut inline = self.inline.borrow_mut();
-            let reply = inline.worker.handle(req);
-            inline.done.push_back((seq, reply));
-            return Ok(());
+        let shard = self.shard(worker)?;
+        match &shard.tx {
+            Some(tx) => {
+                tx.send(Task { seq, req })
+                    .map_err(|_| format!("worker {worker} is gone"))?;
+                shard.queued.set(shard.queued.get() + 1);
+            }
+            None => self.apply_here(shard, seq, req),
         }
-        self.txs
-            .get(worker - 1)
-            .ok_or_else(|| format!("no such worker {worker}"))?
-            .send(Task { seq, req })
-            .map_err(|_| format!("worker {worker} is gone"))
+        Ok(())
     }
 
-    /// A completed reply, if one is ready. Worker 0's come first.
+    /// Applies a request on the calling thread when `worker` has no
+    /// queued request whose reply is still outstanding and `backlog` is
+    /// false (no other complete input waits); queues it like
+    /// [`SessionPool::submit`] otherwise. Either way its reply arrives
+    /// through [`SessionPool::try_recv`]. See the module docs for why
+    /// per-session order holds.
+    pub fn run_or_queue(
+        &self,
+        worker: usize,
+        seq: u64,
+        req: PoolRequest,
+        backlog: bool,
+    ) -> Result<(), String> {
+        let shard = self.shard(worker)?;
+        if shard.tx.is_some() && (backlog || shard.queued.get() > 0) {
+            return self.submit(worker, seq, req);
+        }
+        self.apply_here(shard, seq, req);
+        Ok(())
+    }
+
+    fn apply_here(&self, shard: &Shard, seq: u64, req: PoolRequest) {
+        let reply = {
+            let mut w = lock(&shard.worker);
+            w.report.on_dispatcher += 1;
+            w.handle(req)
+        };
+        self.done.borrow_mut().push_back((seq, reply));
+    }
+
+    /// Counts a thread's reply as handed back.
+    fn handed_back(&self, (worker, seq, reply): (usize, u64, PoolReply)) -> (u64, PoolReply) {
+        let queued = &self.shards[worker].queued;
+        queued.set(queued.get() - 1);
+        (seq, reply)
+    }
+
+    /// A completed reply, if one is ready. Replies of requests applied
+    /// on this thread come first.
     pub fn try_recv(&self) -> Option<(u64, PoolReply)> {
-        let inline = self.inline.borrow_mut().done.pop_front();
-        inline.or_else(|| self.rx.as_ref()?.try_recv().ok())
+        let here = self.done.borrow_mut().pop_front();
+        here.or_else(|| Some(self.handed_back(self.rx.as_ref()?.try_recv().ok()?)))
     }
 
-    /// Waits up to `timeout` for a completed reply. A queued worker-0
-    /// reply returns at once, and a pool without threads never waits.
+    /// Waits up to `timeout` for a completed reply. A reply of a request
+    /// applied on this thread returns at once, and a pool without threads
+    /// never waits.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<(u64, PoolReply)> {
-        let inline = self.inline.borrow_mut().done.pop_front();
-        inline.or_else(|| self.rx.as_ref()?.recv_timeout(timeout).ok())
+        let here = self.done.borrow_mut().pop_front();
+        here.or_else(|| Some(self.handed_back(self.rx.as_ref()?.recv_timeout(timeout).ok()?)))
     }
 
     /// Stops every worker (thread queues drain first) and merges their
-    /// peak reports. Sessions still resident are dropped without a close
-    /// — callers drain before shutting down.
-    pub fn shutdown(self) -> WorkerReport {
-        drop(self.txs);
-        let mut merged = self.inline.into_inner().worker.report;
+    /// reports. Sessions still resident are dropped without a close —
+    /// callers drain before shutting down.
+    pub fn shutdown(mut self) -> WorkerReport {
+        for shard in &mut self.shards {
+            shard.tx = None;
+        }
         for h in self.handles {
-            if let Ok(report) = h.join() {
-                merged.merge(report);
-            }
+            let _ = h.join();
+        }
+        let mut merged = WorkerReport::default();
+        for shard in &self.shards {
+            merged.merge(lock(&shard.worker).report);
         }
         merged
     }
@@ -988,15 +1095,7 @@ mod tests {
     #[test]
     fn worker_zero_runs_inline_and_never_wakes() {
         for n in [1usize, 3] {
-            // Each factory call records the thread it ran on: the thread
-            // of the worker that opens the session.
-            let seen = Arc::new(Mutex::new(Vec::new()));
-            let record = Arc::clone(&seen);
-            let inner = factory();
-            let spy: SessionFactory = Arc::new(move |spec: &str| {
-                record.lock().unwrap().push(std::thread::current().id());
-                inner(spec)
-            });
+            let (spy, seen) = spy_factory();
             let pool = SessionPool::new(n, 1024, TenantQuotas::off(), spy);
             assert_eq!(pool.workers(), n);
             let (calls, wakes) = counting_waker(&pool);
@@ -1071,6 +1170,79 @@ mod tests {
             assert!(report.peak_retained >= 1, "worker {worker}'s peaks");
             assert!(report.peak_live_segments >= 1, "worker {worker}'s peaks");
         }
+    }
+
+    /// A factory that records the thread each `open` ran on.
+    fn spy_factory() -> (SessionFactory, Arc<Mutex<Vec<std::thread::ThreadId>>>) {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let record = Arc::clone(&seen);
+        let inner = factory();
+        let spy: SessionFactory = Arc::new(move |spec: &str| {
+            record.lock().unwrap().push(std::thread::current().id());
+            inner(spec)
+        });
+        (spy, seen)
+    }
+
+    #[test]
+    fn idle_worker_without_backlog_runs_on_the_caller() {
+        let (spy, seen) = spy_factory();
+        let pool = SessionPool::new(2, 1024, TenantQuotas::off(), spy);
+        let (calls, _wakes) = counting_waker(&pool);
+        let here = std::thread::current().id();
+        let open = |sid: &str| PoolRequest::Open {
+            sid: sid.into(),
+            spec: "eager".into(),
+        };
+        pool.run_or_queue(1, 0, open("a"), false).unwrap();
+        assert_eq!(*seen.lock().unwrap(), vec![here]);
+        assert!(matches!(
+            pool.try_recv(),
+            Some((0, PoolReply::Opened { .. }))
+        ));
+        // Backlog queues the request on the worker's thread.
+        pool.run_or_queue(1, 1, open("b"), true).unwrap();
+        assert!(pool.recv_timeout(WAIT).is_some());
+        let threads = seen.lock().unwrap().clone();
+        assert_eq!(threads.len(), 2);
+        assert_ne!(threads[1], here, "a backlog request runs on the thread");
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "only the queued one wakes");
+        let report = pool.shutdown();
+        assert_eq!((report.on_dispatcher, report.on_thread), (1, 1));
+    }
+
+    /// While a worker has a queued request whose reply is not handed
+    /// back, a request for it is queued behind, never applied ahead.
+    #[test]
+    fn busy_worker_keeps_fifo_order() {
+        let pool = SessionPool::new(2, 1024, TenantQuotas::off(), factory());
+        let open = PoolRequest::Open {
+            sid: "a".into(),
+            spec: "eager".into(),
+        };
+        pool.submit(1, 0, open).unwrap();
+        // The reply may already be on the channel, but it has not been
+        // handed back, so this offer must follow the open on the thread.
+        let job = PoolRequest::Offer {
+            sid: "a".into(),
+            offer: offer(0.0, 5.0, 2.0),
+        };
+        pool.run_or_queue(1, 1, job, false).unwrap();
+        let mut replies = BTreeMap::new();
+        for _ in 0..2 {
+            let (seq, reply) = pool.recv_timeout(WAIT).expect("reply");
+            replies.insert(seq, reply);
+        }
+        assert!(matches!(
+            replies.get(&1),
+            Some(PoolReply::OfferAdmitted { .. })
+        ));
+        // Both replies are back: the worker is idle again.
+        pool.run_or_queue(1, 2, probe(), false).unwrap();
+        assert_eq!(pool.try_recv().map(|(seq, _)| seq), Some(2));
+        let report = pool.shutdown();
+        assert_eq!((report.on_dispatcher, report.on_thread), (1, 2));
     }
 
     /// The dispatcher's loop in miniature: block on the wake, re-arm,

@@ -217,7 +217,11 @@ impl<'a> Ctx<'a> {
 /// counts delivered callbacks, applied and rejected actions, and deadline
 /// force-starts in [`RunStats`](crate::sim::RunStats), returned on every
 /// [`SimOutcome`](crate::sim::SimOutcome).
-pub trait OnlineScheduler {
+///
+/// Schedulers are `Send`: a served session may be applied on the
+/// dispatcher's thread or on its worker's (see
+/// [`SessionPool`](crate::service::SessionPool)).
+pub trait OnlineScheduler: Send {
     /// Human-readable name (used in reports).
     fn name(&self) -> String;
 

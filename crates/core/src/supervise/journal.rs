@@ -26,6 +26,18 @@
 //! completed cells: a sweep killed and resumed any number of times, at any
 //! shard count, converges to an uninterrupted run's bytes. A cell lost to
 //! an OS crash is simply re-run on resume: cells are deterministic.
+//!
+//! A sweep's shards share one `Journal` behind a lock, so its sync must
+//! not run under that lock: it would stall every shard for the 1–2.5 ms a
+//! sync takes. [`Journal::record`] therefore returns the due sync as a
+//! [`PendingSync`] that the caller runs after releasing the lock and
+//! before starting its next cell. While it is on its way, each other
+//! shard may append the cell it was finishing, so the records an OS crash
+//! can lose (those appended since the last finished sync began) number at
+//! most `sync_every − 1 + (shards − 1)`, as long as a sync ends within a
+//! cell's run time. On a disk slow enough to hold several shards' syncs in
+//! flight at once (one per shard at most), up to `shards − 1` more batches
+//! of `sync_every` records are at risk.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -224,6 +236,28 @@ impl<R: Record> AppendLog<R> {
     /// Appends one record: its line and newline are written before this
     /// returns, and synced per the sync policy.
     pub fn append(&mut self, record: &R) -> Result<(), JournalError> {
+        if self.write(record)? {
+            self.sync()?;
+        }
+        Ok(())
+    }
+
+    /// Appends one record like [`AppendLog::append`], but hands a due
+    /// sync back to the caller instead of running it.
+    fn append_deferring_sync(&mut self, record: &R) -> Result<Option<PendingSync>, JournalError> {
+        if !self.write(record)? {
+            return Ok(None);
+        }
+        self.since_sync = 0;
+        let file = self.file.try_clone().map_err(io_err(&self.path))?;
+        Ok(Some(PendingSync {
+            path: self.path.clone(),
+            file,
+        }))
+    }
+
+    /// Writes one record line; returns whether a sync is due.
+    fn write(&mut self, record: &R) -> Result<bool, JournalError> {
         let mut line = record.to_line();
         line.push('\n');
         self.file
@@ -231,10 +265,7 @@ impl<R: Record> AppendLog<R> {
             .map_err(io_err(&self.path))?;
         self.records += 1;
         self.since_sync += 1;
-        if self.since_sync >= self.sync_every {
-            self.sync()?;
-        }
-        Ok(())
+        Ok(self.since_sync >= self.sync_every)
     }
 
     /// Forces the log to durable storage.
@@ -289,6 +320,24 @@ impl<R: Record> AppendLog<R> {
             file.sync_all().map_err(io_err(path))?;
         }
         Ok(records)
+    }
+}
+
+/// A sync of an [`AppendLog`] handed to the caller, to run once it has
+/// released whatever lock guards the log. Every byte appended before it
+/// was handed out is already in the file; [`PendingSync::run`] makes
+/// them durable.
+#[derive(Debug)]
+#[must_use = "run the sync once the journal's lock is released"]
+pub struct PendingSync {
+    path: PathBuf,
+    file: File,
+}
+
+impl PendingSync {
+    /// Syncs the log's data to durable storage.
+    pub fn run(self) -> Result<(), JournalError> {
+        self.file.sync_data().map_err(io_err(&self.path))
     }
 }
 
@@ -353,11 +402,13 @@ impl Journal {
     }
 
     /// Records a completed cell by appending its line. Re-recording a cell
-    /// overwrites its previous result.
-    pub fn record(&mut self, result: CellResult) -> Result<(), JournalError> {
-        self.log.append(&result)?;
+    /// overwrites its previous result. On every [`DEFAULT_SYNC_EVERY`]th
+    /// record the due sync is returned, for the caller to run after
+    /// releasing any lock around the journal (see module docs).
+    pub fn record(&mut self, result: CellResult) -> Result<Option<PendingSync>, JournalError> {
+        let pending = self.log.append_deferring_sync(&result)?;
         self.entries.insert(result.cell.clone(), result);
-        Ok(())
+        Ok(pending)
     }
 
     /// Serializes the sorted entry set: the exact bytes
@@ -712,6 +763,26 @@ mod tests {
             let meta = fs::metadata(&path).unwrap();
             assert_eq!(meta.ino(), ino, "record {i} replaced the file");
             assert_eq!(meta.len(), before + line.len() as u64 + 1, "record {i}");
+        }
+        let _ = fs::remove_file(&path);
+    }
+
+    /// The record on a sync boundary hands its sync back instead of
+    /// running it, with its line (and every earlier one) already written.
+    #[test]
+    fn boundary_record_returns_the_pending_sync() {
+        let path = tmp_path("pending");
+        let mut j = Journal::create(&path).unwrap();
+        let mut written = 0;
+        for i in 0..DEFAULT_SYNC_EVERY as u64 * 2 + 1 {
+            written += sample(i).to_line().len() as u64 + 1;
+            let pending = j.record(sample(i)).unwrap();
+            let boundary = (i + 1) % DEFAULT_SYNC_EVERY as u64 == 0;
+            assert_eq!(pending.is_some(), boundary, "record {i}");
+            assert_eq!(fs::metadata(&path).unwrap().len(), written, "record {i}");
+            if let Some(sync) = pending {
+                sync.run().unwrap();
+            }
         }
         let _ = fs::remove_file(&path);
     }

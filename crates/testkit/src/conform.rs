@@ -225,10 +225,7 @@ pub fn run_conformance_with(
                     });
                 }
                 if let Some(j) = journal {
-                    let mut j = j.lock().unwrap_or_else(|e| e.into_inner());
-                    // Journal IO failures must not abort the sweep; the
-                    // worst case is redoing this cell after a resume.
-                    let _ = j.record(CellResult {
+                    let record = CellResult {
                         cell: Cell {
                             target: target.name(),
                             family: family.label(),
@@ -242,7 +239,15 @@ pub fn run_conformance_with(
                         span: 0.0,
                         events: 0,
                         retries: 0,
-                    });
+                    };
+                    // Journal IO failures must not abort the sweep; the
+                    // worst case is redoing this cell after a resume. A
+                    // due sync runs after the lock is released, so it
+                    // stalls only this shard.
+                    let pending = j.lock().unwrap_or_else(|e| e.into_inner()).record(record);
+                    if let Ok(Some(sync)) = pending {
+                        let _ = sync.run();
+                    }
                 }
             }
             (checks, skipped, raw)
