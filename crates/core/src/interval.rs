@@ -281,124 +281,13 @@ impl FromIterator<Interval> for IntervalSet {
     }
 }
 
-/// Incremental span accounting for an unbounded stream of active intervals.
+/// Incremental span for the engine's drive loop, in batch runs and
+/// resident sessions alike: a running scalar updated at each busy-interval
+/// open/close, replacing an end-of-run `Schedule::busy_set().measure()`
+/// pass and holding O(1) state however many jobs stream through.
 ///
-/// A long-lived scheduling service cannot afford the batch invariant of
-/// keeping every active interval in one [`IntervalSet`] forever — its memory
-/// would grow with the total number of jobs ever served. The accountant
-/// exploits the online structure of the problem instead: once the clock has
-/// advanced to `now`, every future interval starts at or after `now`
-/// (inserts are validated against a monotone watermark), so a segment lying
-/// entirely in the past can never gain overlap and its length may be
-/// *retired* into a running scalar. Live state is then proportional to the
-/// number of segments still reaching into the future (open jobs), not to
-/// history.
-///
-/// The measure invariant, checked by the differential property test against
-/// [`IntervalSet::measure`]: at every point of any open/close sequence,
-/// `total()` equals the measure of the union of every interval ever
-/// recorded.
-///
-/// ```
-/// use fjs_core::interval::{Interval, SpanAccountant};
-/// use fjs_core::time::{t, dur};
-///
-/// let mut acc = SpanAccountant::new();
-/// acc.record(Interval::new(t(0.0), t(2.0)));
-/// acc.record(Interval::new(t(1.0), t(3.0)));
-/// acc.advance(t(10.0)); // both segments retire into the scalar
-/// acc.record(Interval::new(t(10.0), t(11.0)));
-/// assert_eq!(acc.total(), dur(4.0));
-/// assert_eq!(acc.live_segments(), 1);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct SpanAccountant {
-    /// Measure of segments that ended at or before the watermark.
-    retired: Dur,
-    /// Segments still reaching past the watermark.
-    live: IntervalSet,
-    /// The clock frontier: no recorded interval may start before this.
-    watermark: Time,
-    /// High-water mark of `live` segment count (bounded-memory evidence).
-    peak_live: usize,
-}
-
-impl SpanAccountant {
-    /// A fresh accountant at time zero with zero span.
-    pub fn new() -> Self {
-        SpanAccountant::default()
-    }
-
-    /// Records one active interval into the union.
-    ///
-    /// # Panics
-    /// Panics if the interval starts before the current watermark — that
-    /// would let it overlap already-retired mass and silently break the
-    /// measure invariant.
-    #[track_caller]
-    pub fn record(&mut self, iv: Interval) {
-        assert!(
-            iv.lo() >= self.watermark,
-            "interval {iv} starts before the accountant watermark {}",
-            self.watermark
-        );
-        self.live.insert(iv);
-        self.peak_live = self.peak_live.max(self.live.num_segments());
-    }
-
-    /// Advances the watermark to `now`, retiring every live segment that
-    /// ends at or before it. `now` must not regress.
-    #[track_caller]
-    pub fn advance(&mut self, now: Time) {
-        assert!(
-            now >= self.watermark,
-            "accountant watermark went backwards: {} -> {now}",
-            self.watermark
-        );
-        self.watermark = now;
-        let cut = self.live.segs.partition_point(|s| s.hi <= now);
-        if cut > 0 {
-            self.retired += self.live.segs.drain(..cut).map(|s| s.len()).sum();
-        }
-    }
-
-    /// Total measure of every interval ever recorded (retired + live).
-    pub fn total(&self) -> Dur {
-        self.retired + self.live.measure()
-    }
-
-    /// Measure already retired behind the watermark.
-    pub fn retired(&self) -> Dur {
-        self.retired
-    }
-
-    /// The current watermark.
-    pub fn watermark(&self) -> Time {
-        self.watermark
-    }
-
-    /// Number of live (future-reaching) segments currently held.
-    pub fn live_segments(&self) -> usize {
-        self.live.num_segments()
-    }
-
-    /// High-water mark of [`SpanAccountant::live_segments`] over the
-    /// accountant's lifetime — the bounded-memory witness reported by the
-    /// serve smoke test.
-    pub fn peak_live_segments(&self) -> usize {
-        self.peak_live
-    }
-}
-
-/// Incremental span for the batch engine: a running scalar updated at each
-/// busy-interval open/close, replacing the end-of-run
-/// `Schedule::busy_set().measure()` pass.
-///
-/// Where [`SpanAccountant`] keeps a live [`IntervalSet`] (resident services
-/// record arbitrary, possibly-nested intervals), the engine's access pattern
-/// is stricter — starts arrive at a monotone `now` — so the whole union
-/// collapses to *one* current segment `[seg_start, seg_end)` plus a closed
-/// total:
+/// Starts arrive at a monotone `now`, so the whole union collapses to *one*
+/// current segment `[seg_start, seg_end)` plus a closed total:
 ///
 /// * a start at `now` **merges** into the current segment iff `now <=
 ///   seg_end` (the exact touching-merge comparison `lo <= hi` that
@@ -467,15 +356,26 @@ impl RunningSpan {
     /// `None` while any merged job's length is still unruled (callers fall
     /// back to measuring the materialized schedule, as aborted runs must).
     pub fn total_if_resolved(&self) -> Option<Dur> {
-        if self.open > 0 {
-            return None;
-        }
+        (self.open == 0).then(|| self.total())
+    }
+
+    /// The span of every start so far, counting an unruled job only up to
+    /// the latest known completion of its segment (exact when
+    /// [`RunningSpan::open_starts`] is 0, as it always is for fixed
+    /// lengths).
+    pub fn total(&self) -> Dur {
         let tail = if self.has_seg {
             self.seg_end - self.seg_start
         } else {
             Dur::ZERO
         };
-        Some(self.closed + tail)
+        self.closed + tail
+    }
+
+    /// Segments held: 1 once any job has started (the current segment,
+    /// whatever the history), 0 before.
+    pub fn live_segments(&self) -> usize {
+        usize::from(self.has_seg)
     }
 
     /// Number of merged starts whose completion is still unknown.
@@ -676,126 +576,11 @@ mod tests {
         assert_eq!(a.hi(), Some(t(6.0)));
     }
 
-    #[test]
-    fn accountant_retires_closed_segments() {
-        let mut acc = SpanAccountant::new();
-        acc.record(iv(0.0, 2.0));
-        acc.record(iv(1.0, 3.0));
-        acc.record(iv(5.0, 6.0));
-        assert_eq!(acc.total(), dur(4.0));
-        assert_eq!(acc.live_segments(), 2);
-
-        acc.advance(t(4.0)); // [0,3) fully past, [5,6) still ahead
-        assert_eq!(acc.retired(), dur(3.0));
-        assert_eq!(acc.live_segments(), 1);
-        assert_eq!(acc.total(), dur(4.0), "retirement preserves the measure");
-
-        acc.advance(t(6.0));
-        assert_eq!(acc.live_segments(), 0);
-        assert_eq!(acc.total(), dur(4.0));
-        assert_eq!(acc.peak_live_segments(), 2);
-    }
-
-    #[test]
-    fn accountant_straddling_segment_stays_live() {
-        let mut acc = SpanAccountant::new();
-        acc.record(iv(0.0, 10.0));
-        acc.advance(t(5.0));
-        assert_eq!(acc.retired(), Dur::ZERO, "future-reaching segment kept");
-        assert_eq!(acc.live_segments(), 1);
-        // A start at the watermark may merge with the straddler.
-        acc.record(iv(5.0, 12.0));
-        assert_eq!(acc.live_segments(), 1);
-        assert_eq!(acc.total(), dur(12.0));
-    }
-
-    #[test]
-    fn accountant_touching_retired_boundary_is_exact() {
-        let mut acc = SpanAccountant::new();
-        acc.record(iv(0.0, 1.0));
-        acc.advance(t(1.0));
-        assert_eq!(acc.retired(), dur(1.0));
-        // Touches the retired mass at t=1 exactly; measure must not double
-        // count or lose the boundary.
-        acc.record(iv(1.0, 2.0));
-        assert_eq!(acc.total(), dur(2.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "starts before the accountant watermark")]
-    fn accountant_rejects_past_inserts() {
-        let mut acc = SpanAccountant::new();
-        acc.advance(t(5.0));
-        acc.record(iv(4.0, 6.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "watermark went backwards")]
-    fn accountant_rejects_time_regression() {
-        let mut acc = SpanAccountant::new();
-        acc.advance(t(5.0));
-        acc.advance(t(4.0));
-    }
-
-    /// The satellite differential property: over random open/close
-    /// sequences (monotone starts, arbitrary lengths, interleaved clock
-    /// advances), the accountant's running total must equal
-    /// [`IntervalSet::measure`] over *every* interval ever recorded at
-    /// every step — while its live segment count stays bounded by the
-    /// number of future-reaching segments, not history.
-    #[test]
-    fn prop_accountant_matches_interval_set_measure() {
-        use fjs_prng::check::forall;
-        use fjs_prng::SmallRng;
-        // Quarter-unit grid: every endpoint and length is a dyadic
-        // rational, so sums and differences are exact in f64 and the
-        // accountant's differently-grouped arithmetic (retired scalar +
-        // live measure) must match the one-pass measure *exactly*.
-        let q = |x: f64| (x * 4.0).round() / 4.0;
-        forall(64, move |rng: &mut SmallRng| {
-            let mut acc = SpanAccountant::new();
-            let mut reference = IntervalSet::new();
-            let mut now = 0.0f64;
-            let steps = 1 + rng.u64_below(120) as usize;
-            for _ in 0..steps {
-                if rng.bool_with(0.35) {
-                    // Advance the clock (and retire).
-                    now += q(rng.f64_range(0.0, 8.0));
-                    acc.advance(t(now));
-                } else {
-                    // Open an interval starting at or after the watermark.
-                    let start = now + q(rng.f64_range(0.0, 4.0));
-                    let len = q(rng.f64_range_inclusive(0.0, 6.0));
-                    let iv = Interval::new(t(start), t(start + len));
-                    acc.record(iv);
-                    reference.insert(iv);
-                }
-                assert_eq!(acc.total(), reference.measure(), "divergence at now={now}");
-                assert!(
-                    acc.live_segments()
-                        <= reference
-                            .segments()
-                            .iter()
-                            .filter(|s| s.hi() > t(now))
-                            .count(),
-                    "live segments exceed future-reaching reference segments"
-                );
-            }
-            // Fast-forward far past everything: all mass retires.
-            acc.advance(t(now + 1e6));
-            assert_eq!(acc.total(), reference.measure());
-            assert_eq!(acc.live_segments(), 0);
-        });
-    }
-
-    /// The engine-shaped satellite differential property: over seeded
-    /// streams of monotone starts — fixed completions, re-entrant overlaps,
-    /// and adaptive starts whose completions are ruled later — the running
+    /// The engine-shaped differential property: over seeded streams of
+    /// monotone starts — fixed completions, re-entrant overlaps, and
+    /// adaptive starts whose completions are ruled later — the running
     /// scalar must equal [`IntervalSet::measure`] over every interval ever
-    /// opened, *exactly*, whenever all completions are resolved. The same
-    /// stream is also replayed through [`SpanAccountant`] (with prefix
-    /// retirement at every step) to pin the compacted-prefix path the
-    /// service layer shares.
+    /// opened, *exactly*, whenever all completions are resolved.
     #[test]
     fn prop_running_span_matches_measure() {
         use fjs_prng::check::forall_seeded;
@@ -805,7 +590,6 @@ mod tests {
         forall_seeded(0x59a7_0a01, 96, move |rng| {
             let mut span = RunningSpan::new();
             let mut reference = IntervalSet::new();
-            let mut acc = SpanAccountant::new();
             // Start times of adaptive opens whose completion is unruled.
             let mut open: Vec<f64> = Vec::new();
             let mut now = 0.0f64;
@@ -823,7 +607,6 @@ mod tests {
                     let hi = (start + 0.25).max(now) + q(rng.f64_range(0.0, 4.0));
                     span.on_rule(t(hi));
                     reference.insert(Interval::new(t(start), t(hi)));
-                    acc.record(Interval::new(t(start), t(hi)));
                 } else {
                     now += q(rng.f64_range(0.0, 6.0));
                     let s = now;
@@ -835,7 +618,6 @@ mod tests {
                     } else {
                         span.on_start(t(s), Some(t(s + len)));
                         reference.insert(Interval::new(t(s), t(s + len)));
-                        acc.record(Interval::new(t(s), t(s + len)));
                     }
                 }
                 assert_eq!(span.open_starts(), open.len());
@@ -848,22 +630,14 @@ mod tests {
                 } else {
                     assert_eq!(span.total_if_resolved(), None);
                 }
-                // Retire the accountant's prefix continuously (the
-                // compacted-prefix path the service layer uses); late
-                // records of open starts cap how far the watermark may go.
-                let safe = open.iter().fold(now, |m, &s| m.min(s));
-                acc.advance(t(safe));
-                assert_eq!(acc.total(), reference.measure());
             }
-            // Resolve every remaining open start, then all three agree.
+            // Resolve every remaining open start, then the two agree.
             while let Some(start) = open.pop() {
                 let hi = (start + 0.25).max(now) + q(rng.f64_range(0.0, 4.0));
                 span.on_rule(t(hi));
                 reference.insert(Interval::new(t(start), t(hi)));
-                acc.record(Interval::new(t(start), t(hi)));
             }
             assert_eq!(span.total_if_resolved(), Some(reference.measure()));
-            assert_eq!(acc.total(), reference.measure());
         });
     }
 

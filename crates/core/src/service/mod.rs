@@ -6,11 +6,14 @@
 //! arrival streams with O(pending) memory, emit decisions incrementally,
 //! and fail independently:
 //!
-//! * [`session`] — the per-session drive loop: a verbatim mirror of the
-//!   batch engine's event ordering and action validation, plus panic
-//!   containment ([`Verdict`](crate::supervise::Verdict)), a cumulative
-//!   watchdog budget, span accounting via
-//!   [`crate::interval::SpanAccountant`], and completed-record compaction;
+//! * [`session`] — one scheduler on a resident batch engine
+//!   ([`crate::sim::engine`]), fed one offer at a time: the engine's own
+//!   event order, action validation and
+//!   [`RunningSpan`](crate::interval::RunningSpan), run in session mode
+//!   (start/finish decisions, completed-record compaction, no per-job
+//!   history), plus panic containment
+//!   ([`Verdict`](crate::supervise::Verdict)) and a cumulative watchdog
+//!   budget;
 //! * [`checkpoint`] — the crash-safe [`ServeJournal`] that makes a killed
 //!   daemon resumable to a byte-identical decision log;
 //! * [`pool`] — the multi-core worker pool: sessions sharded across

@@ -1,25 +1,26 @@
-//! A resident scheduling session: the incremental analogue of the batch
-//! engine's drive loop.
+//! A resident scheduling session: the batch engine's drive loop, fed one
+//! job at a time.
 //!
-//! [`Session`] owns one scheduler and one [`World`] and accepts jobs one at
-//! a time via [`Session::offer`], in arrival order, with no bound on how
-//! many will ever arrive. Between offers it holds the pending event queue
-//! (deadline alarms, ordered starts, completions, wakeups) exactly as the
-//! batch engine would; each offer first drains every queued event that
-//! precedes the new arrival in the engine's `(time, tie-order)` total
-//! order, then releases the job and dispatches `on_arrival`. Because the
-//! tie-break orders are copied verbatim from the engine
-//! ([`crate::sim::engine`]), a session fed a trace job-by-job makes the
-//! same decisions, in the same order, as [`crate::sim::run_static`] over
-//! the whole trace — the determinism contract `fjs serve` advertises.
+//! [`Session`] owns one scheduler and one resident engine
+//! ([`crate::sim::engine`]) and accepts jobs one at a time via
+//! [`Session::offer`], in arrival order, with no bound on how many will
+//! ever arrive. Between offers the engine holds the pending event queue
+//! (deadline alarms, ordered starts, completions, wakeups); each offer
+//! first processes every queued event that precedes the new arrival in the
+//! engine's `(time, order, seq)` order, then releases the job and
+//! dispatches `on_arrival`. It is the batch engine's own code, so a session
+//! fed a trace job-by-job makes the same decisions, in the same order, with
+//! the same span bits, as [`crate::sim::run_static`] over the whole trace —
+//! the determinism contract `fjs serve` advertises.
 //!
 //! Three properties distinguish a session from a batch run:
 //!
-//! * **O(pending) memory.** Spans are accumulated by a
-//!   [`SpanAccountant`] (closed intervals retire into a scalar) and
-//!   completed job records are dropped by
-//!   `World::compact_completed_prefix`, so resident state is proportional
-//!   to the jobs in flight, not the jobs ever seen.
+//! * **O(pending) memory.** The span is the engine's
+//!   [`RunningSpan`](crate::interval::RunningSpan) (one current segment
+//!   plus a scalar), completed job records are dropped by
+//!   `World::compact_completed_prefix` before `on_completion` runs, and no
+//!   trace, violation or rejection is stored, so resident state is
+//!   proportional to the jobs in flight, not the jobs ever seen.
 //! * **Containment.** Every entry point runs the scheduler under
 //!   [`contain_panic`] with a cumulative event budget; a panic, a runaway
 //!   wakeup loop, or a horizon overflow poisons *this* session with a
@@ -29,71 +30,15 @@
 //!   span and are drained by the caller as they happen; nothing waits for
 //!   the end of the trace.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
 use std::fmt;
 
-use crate::interval::{Interval, SpanAccountant};
-use crate::job::JobId;
-use crate::sim::env::{geometric_class, Clairvoyance};
-use crate::sim::sched::{Action, Arrival, Ctx, OnlineScheduler};
+use crate::job::{Instance, JobId};
+use crate::sim::engine::{Engine, EnvFault, HeapQueue, Stop};
+use crate::sim::env::{Clairvoyance, JobSpec, StaticEnv};
+use crate::sim::sched::OnlineScheduler;
 use crate::sim::stats::RunStats;
-use crate::sim::world::World;
 use crate::supervise::{contain_panic, Verdict, DEFAULT_WATCHDOG_EVENTS};
 use crate::time::{Dur, Time};
-
-// ---- event queue (verbatim mirror of the batch engine's ordering) -------
-
-/// Same-instant tie-break order, copied from the batch engine: completions
-/// first, then releases (order 1, held by the arriving offer itself), then
-/// ordered starts, deadline alarms, wakeups. Fixed-length sessions never
-/// queue length probes (order 3), so that slot is simply unused.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum EventKind {
-    Completion(JobId),
-    OrderedStart(JobId),
-    DeadlineAlarm(JobId),
-    Wakeup(u64),
-}
-
-impl EventKind {
-    fn order(self) -> u8 {
-        match self {
-            EventKind::Completion(_) => 0,
-            EventKind::OrderedStart(_) => 2,
-            EventKind::DeadlineAlarm(_) => 4,
-            EventKind::Wakeup(_) => 5,
-        }
-    }
-}
-
-/// Tie-break rank of a release, between completions and ordered starts.
-const RELEASE_ORDER: u8 = 1;
-
-#[derive(Clone, Copy, Debug)]
-struct Event {
-    time: Time,
-    order: u8,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.time, self.order, self.seq).cmp(&(other.time, other.order, other.seq))
-    }
-}
 
 // ---- public surface ------------------------------------------------------
 
@@ -227,34 +172,25 @@ impl fmt::Display for Decision {
     }
 }
 
-/// Outcome the session tried to reach internally: `Ok` to keep going, or
-/// the terminal verdict that poisons it.
-type Step = Result<(), Verdict>;
+/// A session-mode engine. Its environment releases nothing (offers do)
+/// and only carries the information model.
+type SessionEngine = Engine<StaticEnv, Box<dyn OnlineScheduler>, HeapQueue>;
 
 /// One resident scheduler instance (see module docs).
 pub struct Session {
-    world: World,
-    sched: Box<dyn OnlineScheduler>,
-    queue: BinaryHeap<Reverse<Event>>,
-    seq: u64,
-    scratch: Vec<Action>,
-    span: SpanAccountant,
-    stats: RunStats,
-    decisions: Vec<Decision>,
+    engine: SessionEngine,
     verdict: Option<Verdict>,
-    max_events: usize,
     frontier: Time,
-    peak_retained: usize,
     admitted_bytes: u64,
 }
 
 impl fmt::Debug for Session {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Session")
-            .field("scheduler", &self.sched.name())
-            .field("now", &self.world.now())
-            .field("pending", &self.world.num_pending())
-            .field("running", &self.world.num_running())
+            .field("scheduler", &self.engine.sched.name())
+            .field("now", &self.now())
+            .field("pending", &self.num_pending())
+            .field("running", &self.num_running())
             .field("verdict", &self.verdict)
             .finish_non_exhaustive()
     }
@@ -265,19 +201,11 @@ impl Session {
     /// `on_arrival` reveals, exactly as in batch runs; pass the
     /// scheduler's declared information model.
     pub fn new(sched: Box<dyn OnlineScheduler>, clairvoyance: Clairvoyance) -> Self {
+        let env = StaticEnv::new(&Instance::empty(), clairvoyance);
         Session {
-            world: World::new(clairvoyance),
-            sched,
-            queue: BinaryHeap::new(),
-            seq: 0,
-            scratch: Vec::new(),
-            span: SpanAccountant::new(),
-            stats: RunStats::default(),
-            decisions: Vec::new(),
+            engine: Engine::resident(env, sched, DEFAULT_WATCHDOG_EVENTS),
             verdict: None,
-            max_events: DEFAULT_WATCHDOG_EVENTS,
             frontier: Time::ZERO,
-            peak_retained: 0,
             admitted_bytes: 0,
         }
     }
@@ -285,58 +213,61 @@ impl Session {
     /// Caps the cumulative events this session may process (the watchdog
     /// budget; default [`DEFAULT_WATCHDOG_EVENTS`]).
     pub fn with_watchdog(mut self, max_events: usize) -> Self {
-        self.max_events = max_events;
+        self.engine.config.max_events = max_events;
         self
     }
 
     /// The scheduler's self-reported name.
     pub fn scheduler_name(&self) -> String {
-        self.sched.name()
+        self.engine.sched.name()
     }
 
     /// Current simulation time (the time of the last processed event).
     pub fn now(&self) -> Time {
-        self.world.now()
+        self.engine.world.now()
     }
 
-    /// Running span: retired mass plus the measure of still-open segments.
+    /// Running span of every job started so far.
     pub fn span(&self) -> Dur {
-        self.span.total()
+        self.engine.span.total()
     }
 
     /// Engine counters accumulated so far. One divergence from a batch run
     /// over the same trace is expected: the batch engine counts one
     /// release *event* per distinct arrival instant, a session counts one
     /// per offer. `jobs_released` and every decision-bearing counter
-    /// match.
+    /// (`completions`, `ordered_starts`, `deadline_alarms`, `wakeups`,
+    /// `actions_applied`, `actions_rejected`, `force_starts`) match.
     pub fn stats(&self) -> &RunStats {
-        &self.stats
+        &self.engine.stats
     }
 
     /// Jobs admitted but not yet started.
     pub fn num_pending(&self) -> usize {
-        self.world.num_pending()
+        self.engine.world.num_pending()
     }
 
     /// Jobs currently running.
     pub fn num_running(&self) -> usize {
-        self.world.num_running()
+        self.engine.world.num_running()
     }
 
     /// Job records currently materialized (history is compacted away).
     pub fn retained_records(&self) -> usize {
-        self.world.num_retained()
+        self.engine.world.num_retained()
     }
 
     /// High-water mark of materialized records — the bounded-memory
     /// witness: stays O(pending), not O(jobs ever offered).
     pub fn peak_retained_records(&self) -> usize {
-        self.peak_retained
+        self.engine.world.peak_retained()
     }
 
-    /// High-water mark of live (unretired) span segments.
+    /// High-water mark of live span segments: every start happens at
+    /// `now`, so the running span holds one segment once a job has
+    /// started, and none before.
     pub fn peak_live_segments(&self) -> usize {
-        self.span.peak_live_segments()
+        self.engine.span.live_segments()
     }
 
     /// Cumulative [`JobOffer::canonical_bytes`] of every offer that got
@@ -355,12 +286,12 @@ impl Session {
 
     /// Drains the decisions emitted since the last call, in order.
     pub fn take_decisions(&mut self) -> Vec<Decision> {
-        std::mem::take(&mut self.decisions)
+        std::mem::take(&mut self.engine.decisions)
     }
 
     /// Offers the next job of the arrival stream.
     ///
-    /// Drains every queued event that precedes the arrival, releases the
+    /// Processes every queued event that precedes the arrival, releases the
     /// job, and dispatches `on_arrival` — all under panic containment and
     /// the event budget. On success returns the job's id (global release
     /// order). A validation failure rejects the offer without touching
@@ -389,9 +320,12 @@ impl Session {
         }
         self.frontier = offer.arrival;
         self.admitted_bytes += offer.canonical_bytes();
+        let spec = JobSpec::fixed(offer.deadline, offer.length);
+        let engine = &mut self.engine;
         contain_panic(|| {
-            self.drain_before(offer.arrival, RELEASE_ORDER)?;
-            self.release_offer(offer)
+            engine
+                .release_alone(offer.arrival, spec)
+                .map_err(|stop| verdict_of(engine, stop))
         })
         .map_err(|verdict| {
             self.verdict = Some(verdict.clone());
@@ -407,244 +341,42 @@ impl Session {
         if let Some(v) = &self.verdict {
             return v.clone();
         }
-        let verdict = contain_panic(|| self.drain_all())
+        let engine = &mut self.engine;
+        let verdict = contain_panic(|| engine.drain().map_err(|stop| verdict_of(engine, stop)))
             .err()
             .unwrap_or(Verdict::Completed);
         self.verdict = Some(verdict.clone());
         verdict
     }
+}
 
-    // ---- drive loop (mirrors crate::sim::engine) ---------------------
-
-    fn push(&mut self, time: Time, kind: EventKind) {
-        let ev = Event {
-            time,
-            order: kind.order(),
-            seq: self.seq,
-            kind,
-        };
-        self.seq += 1;
-        self.queue.push(Reverse(ev));
-        self.stats.peak_queue = self.stats.peak_queue.max(self.queue.len());
-    }
-
-    /// Processes queued events strictly preceding `(time, order)` in the
-    /// engine's total order.
-    fn drain_before(&mut self, time: Time, order: u8) -> Step {
-        while let Some(&Reverse(ev)) = self.queue.peek() {
-            if (ev.time, ev.order) >= (time, order) {
-                break;
-            }
-            self.budget_check()?;
-            self.queue.pop();
-            self.dispatch_event(ev)?;
-        }
-        Ok(())
-    }
-
-    fn drain_all(&mut self) -> Step {
-        while let Some(&Reverse(ev)) = self.queue.peek() {
-            self.budget_check()?;
-            self.queue.pop();
-            self.dispatch_event(ev)?;
-        }
-        Ok(())
-    }
-
-    fn budget_check(&self) -> Step {
-        if self.stats.events_total >= self.max_events {
-            return Err(Verdict::TimedOut {
-                events: self.stats.events_total,
-            });
-        }
-        Ok(())
-    }
-
-    fn release_offer(&mut self, offer: JobOffer) -> Result<JobId, Verdict> {
-        self.budget_check()?;
-        self.advance(offer.arrival);
-        self.stats.release_events += 1;
-        self.stats.events_total += 1;
-        let id = self
-            .world
-            .release(offer.arrival, offer.deadline, Some(offer.length));
-        self.stats.jobs_released += 1;
-        self.peak_retained = self.peak_retained.max(self.world.num_retained());
-        self.push(offer.deadline, EventKind::DeadlineAlarm(id));
-        let clairvoyance = self.world.clairvoyance();
-        let arrival = Arrival {
-            id,
-            arrival: offer.arrival,
-            deadline: offer.deadline,
-            length: clairvoyance.is_clairvoyant().then_some(offer.length),
-            length_class: clairvoyance
-                .reveals_class()
-                .then(|| geometric_class(offer.length, 2.0, 1.0)),
-        };
-        self.dispatch(|sched, ctx| sched.on_arrival(arrival, ctx))?;
-        Ok(id)
-    }
-
-    fn advance(&mut self, to: Time) {
-        self.world.advance_to(to);
-        self.span.advance(to);
-    }
-
-    fn dispatch_event(&mut self, ev: Event) -> Step {
-        self.advance(ev.time);
-        self.stats.events_total += 1;
-        match ev.kind {
-            EventKind::Completion(id) => {
-                self.stats.completions += 1;
-                self.stats.jobs_completed += 1;
-                let length = match self.world.job(id).length() {
-                    Some(p) => p,
-                    None => {
-                        return Err(Verdict::Faulted {
-                            message: format!("completing {id} with no ruled length"),
-                        })
-                    }
-                };
-                self.world.mark_completed(id);
-                self.decisions.push(Decision {
-                    kind: DecisionKind::Finish,
-                    id,
-                    at: ev.time,
-                    span: self.span.total(),
-                });
-                self.world.compact_completed_prefix();
-                self.dispatch(|sched, ctx| sched.on_completion(id, length, ctx))?;
-            }
-            EventKind::OrderedStart(id) => {
-                self.stats.ordered_starts += 1;
-                if self.world.is_pending(id) {
-                    self.start_job(id, ev.time)?;
-                }
-            }
-            EventKind::DeadlineAlarm(id) => {
-                self.stats.deadline_alarms += 1;
-                if !self.world.is_pending(id) {
-                    // Already started (or completed): the alarm is spent.
-                } else if self.world.job(id).ordered_start().is_some() {
-                    // A same-instant ordered start is honored, as in the
-                    // batch engine.
-                    self.start_job(id, ev.time)?;
-                } else {
-                    self.dispatch(|sched, ctx| sched.on_deadline(id, ctx))?;
-                    if self.world.is_pending(id) && self.world.job(id).ordered_start().is_none() {
-                        self.stats.force_starts += 1;
-                        self.start_job(id, ev.time)?;
-                    }
-                }
-            }
-            EventKind::Wakeup(token) => {
-                self.stats.wakeups += 1;
-                self.dispatch(|sched, ctx| sched.on_wakeup(token, ctx))?;
+/// The verdict a stopped engine step poisons its session with.
+fn verdict_of(engine: &SessionEngine, stop: Stop) -> Verdict {
+    let message = match stop {
+        Stop::EventCap => {
+            return Verdict::TimedOut {
+                events: engine.stats.events_total,
             }
         }
-        Ok(())
-    }
-
-    /// Runs one scheduler callback and applies its actions — the batch
-    /// engine's dispatch pattern, with the same scratch-buffer reuse.
-    fn dispatch<F>(&mut self, callback: F) -> Step
-    where
-        F: FnOnce(&mut dyn OnlineScheduler, &mut Ctx<'_>),
-    {
-        let mut ctx = Ctx::with_scratch(&self.world, std::mem::take(&mut self.scratch));
-        callback(self.sched.as_mut(), &mut ctx);
-        let mut actions = ctx.into_actions();
-        let step = self.apply_actions(&mut actions);
-        actions.clear();
-        self.scratch = actions;
-        step
-    }
-
-    /// Validates and applies scheduler actions, mirroring the batch
-    /// engine's rules verbatim. Invalid actions are counted and dropped
-    /// (the session keeps going, exactly like a batch run).
-    fn apply_actions(&mut self, actions: &mut Vec<Action>) -> Step {
-        for action in actions.drain(..) {
-            let now = self.world.now();
-            match action {
-                Action::StartNow(id) => {
-                    if !self.world.is_pending(id) {
-                        self.stats.actions_rejected += 1;
-                        continue;
-                    }
-                    let rec = self.world.job(id);
-                    if now < rec.arrival() || now > rec.deadline() {
-                        self.stats.actions_rejected += 1;
-                        continue;
-                    }
-                    self.stats.actions_applied += 1;
-                    self.start_job(id, now)?;
-                }
-                Action::StartAt(id, at) => {
-                    if !self.world.is_pending(id) {
-                        self.stats.actions_rejected += 1;
-                        continue;
-                    }
-                    let rec = self.world.job(id);
-                    if rec.ordered_start().is_some() {
-                        self.stats.actions_rejected += 1;
-                        continue;
-                    }
-                    if at < now || at < rec.arrival() || at > rec.deadline() {
-                        self.stats.actions_rejected += 1;
-                        continue;
-                    }
-                    self.stats.actions_applied += 1;
-                    self.world.set_ordered_start(id, at);
-                    self.push(at, EventKind::OrderedStart(id));
-                }
-                Action::WakeAt(at, token) => {
-                    if at < now {
-                        self.stats.actions_rejected += 1;
-                        continue;
-                    }
-                    self.stats.actions_applied += 1;
-                    self.push(at, EventKind::Wakeup(token));
-                }
-            }
+        // The engine marks the job started before it finds the overflow,
+        // and session lengths are always fixed.
+        Stop::Fault(EnvFault::HorizonOverflow { id }) => {
+            let job = engine.world.job(id);
+            let at = job.start().unwrap_or(Time::ZERO);
+            let length = job.length().unwrap_or(Dur::ZERO);
+            format!("horizon overflow: {id} started at {at} with length {length}")
         }
-        Ok(())
-    }
-
-    fn start_job(&mut self, id: JobId, at: Time) -> Step {
-        let length = match self.world.job(id).length() {
-            Some(p) => p,
-            None => {
-                return Err(Verdict::Faulted {
-                    message: format!("starting {id} with no ruled length"),
-                })
-            }
-        };
-        // Same horizon guard as the batch engine: a completion time that
-        // leaves f64 range would corrupt the event order.
-        if !(at.get() + length.get()).is_finite() {
-            return Err(Verdict::Faulted {
-                message: format!("horizon overflow: {id} started at {at} with length {length}"),
-            });
-        }
-        self.world.mark_started(id, at);
-        self.span.record(Interval::active(at, length));
-        self.decisions.push(Decision {
-            kind: DecisionKind::Start,
-            id,
-            at,
-            span: self.span.total(),
-        });
-        self.push(at + length, EventKind::Completion(id));
-        Ok(())
-    }
+        Stop::Fault(fault) => fault.to_string(),
+    };
+    Verdict::Faulted { message }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{Instance, Job};
+    use crate::job::Job;
     use crate::sim::run_static;
+    use crate::sim::sched::{Arrival, Ctx};
     use crate::supervise::with_quiet_panics;
     use crate::time::{dur, t};
 
@@ -755,10 +487,19 @@ mod tests {
 
     /// The determinism contract: a session fed job-by-job reproduces the
     /// batch engine's starts and span exactly, for action-free, ordered-
-    /// start, and force-start schedulers alike.
+    /// start, and force-start schedulers alike. The second deck chains two
+    /// rigid jobs end to start at non-dyadic times, where a span that
+    /// retired the first segment before the touching start summed to
+    /// `9.05` instead of the batch's `9.049999999999999`.
     #[test]
     fn session_matches_batch_engine_decisions() {
-        let offers = deck();
+        let touching = vec![offer(4.15, 4.15, 0.89), offer(5.04, 5.04, 8.16)];
+        for offers in [deck(), touching] {
+            assert_session_matches_batch(&offers);
+        }
+    }
+
+    fn assert_session_matches_batch(offers: &[JobOffer]) {
         let inst = Instance::new(
             offers
                 .iter()
@@ -774,9 +515,14 @@ mod tests {
         for (label, mk) in scheds {
             let batch = run_static(&inst, Clairvoyance::Clairvoyant, mk());
             assert!(batch.termination.is_completed(), "{label}: batch completed");
-            let (decisions, span, verdict) = session_outcome(mk(), &offers);
+            let (decisions, span, verdict) = session_outcome(mk(), offers);
             assert_eq!(verdict, Verdict::Completed, "{label}");
-            assert_eq!(span, batch.span, "{label}: span");
+            assert_eq!(
+                span.get().to_bits(),
+                batch.span.get().to_bits(),
+                "{label}: span {span} vs {}",
+                batch.span
+            );
             let starts: Vec<(JobId, Time)> = decisions
                 .iter()
                 .filter(|d| d.kind == DecisionKind::Start)
@@ -788,8 +534,8 @@ mod tests {
             }
             // Final decision's running span equals the batch span.
             assert_eq!(
-                decisions.last().map(|d| d.span),
-                Some(batch.span),
+                decisions.last().map(|d| d.span.get().to_bits()),
+                Some(batch.span.get().to_bits()),
                 "{label}"
             );
         }
@@ -885,5 +631,89 @@ mod tests {
         );
         // Span is still exact over the whole history.
         assert_eq!(s.span(), dur(n as f64));
+    }
+
+    /// Never acts, so every job is force-started by its deadline alarm.
+    struct Idle;
+    impl OnlineScheduler for Idle {
+        fn name(&self) -> String {
+            "test-idle".into()
+        }
+        fn on_arrival(&mut self, _job: Arrival, _ctx: &mut Ctx<'_>) {}
+        fn on_deadline(&mut self, _id: JobId, _ctx: &mut Ctx<'_>) {}
+    }
+
+    /// Issues only actions the engine rejects: a start of a job that was
+    /// never released, an ordered start past the deadline, and a wakeup in
+    /// the past.
+    struct Hostile;
+    impl OnlineScheduler for Hostile {
+        fn name(&self) -> String {
+            "test-hostile".into()
+        }
+        fn on_arrival(&mut self, job: Arrival, ctx: &mut Ctx<'_>) {
+            ctx.start(JobId(u32::MAX));
+            ctx.start_at(job.id, job.deadline + dur(1.0));
+            ctx.wake_at(job.arrival - dur(1.0), 0);
+        }
+        fn on_deadline(&mut self, _id: JobId, _ctx: &mut Ctx<'_>) {}
+    }
+
+    /// No buffer grows per job: over a long stream of force-starts and of
+    /// rejected actions, the engine stores no violation, rejection or trace
+    /// entry, and the resident records stay O(jobs in flight).
+    #[test]
+    fn session_state_stays_bounded_under_force_starts_and_rejections() {
+        type MkSched = fn() -> Box<dyn OnlineScheduler>;
+        let scheds: [(&str, MkSched); 2] = [
+            ("idle", || Box::new(Idle)),
+            ("hostile", || Box::new(Hostile)),
+        ];
+        for (label, mk) in scheds {
+            let mut s = Session::new(mk(), Clairvoyance::Clairvoyant);
+            let n = 10_000;
+            for i in 0..n {
+                let a = i as f64;
+                s.offer(offer(a, a + 0.5, 1.0)).unwrap();
+                let engine = &s.engine;
+                assert!(engine.violations.is_empty(), "{label}: violations kept");
+                assert!(engine.rejected.is_empty(), "{label}: rejections kept");
+                assert!(engine.trace.is_empty(), "{label}: trace kept");
+                assert!(
+                    s.peak_retained_records() <= 8,
+                    "{label}: records grew to {} at offer {i}",
+                    s.peak_retained_records()
+                );
+                s.take_decisions();
+            }
+            assert_eq!(s.close(), Verdict::Completed, "{label}");
+            let stats = s.stats();
+            assert_eq!(stats.force_starts, n, "{label}: every job force-started");
+            if label == "hostile" {
+                assert_eq!(
+                    stats.actions_rejected,
+                    3 * n,
+                    "{label}: every action rejected"
+                );
+            }
+            assert!(s.engine.violations.is_empty() && s.engine.rejected.is_empty());
+        }
+    }
+
+    /// A start whose completion leaves the finite range faults the session
+    /// with the pinned message, and the fault is terminal.
+    #[test]
+    fn horizon_overflow_faults_with_the_pinned_message() {
+        let mut s = Session::new(Box::new(Eager), Clairvoyance::Clairvoyant);
+        let err = s.offer(offer(f64::MAX, f64::MAX, f64::MAX)).unwrap_err();
+        let SessionError::Terminal(verdict) = err else {
+            panic!("want Terminal, got {err:?}");
+        };
+        let (at, length) = (t(f64::MAX), dur(f64::MAX));
+        assert_eq!(
+            verdict.to_string(),
+            format!("faulted: horizon overflow: J0 started at {at} with length {length}")
+        );
+        assert_eq!(s.close(), verdict);
     }
 }

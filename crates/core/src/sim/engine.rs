@@ -22,10 +22,17 @@
 //!
 //! Within a kind, ties break by insertion sequence (FIFO), which makes runs
 //! fully deterministic.
+//!
+//! # Batch runs and sessions
+//!
+//! [`run_with_config`] drives the loop until no event is left. A resident
+//! [`Session`](crate::service::Session) drives the same steps one offer at
+//! a time, so both follow this order by construction.
 
 use crate::interval::RunningSpan;
 use crate::job::{Instance, JobId};
 use crate::schedule::Schedule;
+use crate::service::{Decision, DecisionKind};
 use crate::sim::calendar::{CalendarEvent, CalendarQueue};
 use crate::sim::env::{Clairvoyance, Environment, JobSpec, LengthRuling, LengthSpec};
 use crate::sim::sched::{Action, Arrival, Ctx, OnlineScheduler};
@@ -33,6 +40,8 @@ use crate::sim::stats::RunStats;
 use crate::sim::trace::{TraceEvent, TraceKind, TraceMode};
 use crate::sim::world::World;
 use crate::time::{Dur, Time};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::time::Instant;
 
@@ -421,26 +430,86 @@ impl CalendarEvent for Event {
     }
 }
 
-/// How the drive loop ended (the non-fault half of [`Termination`]).
-enum DriveEnd {
-    Drained,
-    EventCap,
+/// The engine's event queue, popping in the `(time, order, seq)` order.
+/// Batch runs use the [`CalendarQueue`], built for long runs with many
+/// queued events. A resident session uses a binary heap: one compact
+/// allocation, where a calendar ring spreads each session's few queued
+/// events over many small buckets that a daemon interleaving sessions
+/// finds cold in cache.
+pub(crate) trait EventQueue {
+    fn push(&mut self, event: Event);
+    fn peek(&mut self) -> Option<&Event>;
+    fn pop(&mut self) -> Option<Event>;
+    fn len(&self) -> usize;
 }
 
-struct Engine<E, S> {
-    world: World,
+impl EventQueue for CalendarQueue<Event> {
+    fn push(&mut self, event: Event) {
+        CalendarQueue::push(self, event);
+    }
+    fn peek(&mut self) -> Option<&Event> {
+        CalendarQueue::peek(self)
+    }
+    fn pop(&mut self) -> Option<Event> {
+        CalendarQueue::pop(self)
+    }
+    fn len(&self) -> usize {
+        CalendarQueue::len(self)
+    }
+}
+
+/// A session-mode engine's queue (see [`EventQueue`]).
+pub(crate) type HeapQueue = BinaryHeap<Reverse<Event>>;
+
+impl EventQueue for HeapQueue {
+    fn push(&mut self, event: Event) {
+        BinaryHeap::push(self, Reverse(event));
+    }
+    fn peek(&mut self) -> Option<&Event> {
+        BinaryHeap::peek(self).map(|Reverse(e)| e)
+    }
+    fn pop(&mut self) -> Option<Event> {
+        BinaryHeap::pop(self).map(|Reverse(e)| e)
+    }
+    fn len(&self) -> usize {
+        BinaryHeap::len(self)
+    }
+}
+
+/// Why a drive step stopped short of its goal (the non-completed half of
+/// [`Termination`]).
+pub(crate) enum Stop {
+    /// The [`SimConfig::max_events`] budget is spent.
+    EventCap,
+    /// The environment broke its contract.
+    Fault(EnvFault),
+}
+
+impl From<EnvFault> for Stop {
+    fn from(fault: EnvFault) -> Self {
+        Stop::Fault(fault)
+    }
+}
+
+/// The drive loop's state. Batch runs build one per run
+/// ([`run_with_config`]); a [`Session`](crate::service::Session) keeps one
+/// resident and feeds it one job at a time ([`Engine::release_alone`],
+/// [`Engine::drain`]), so both walk the same `(time, order, seq)` order
+/// through the same code.
+pub(crate) struct Engine<E, S, Q = CalendarQueue<Event>> {
+    pub(crate) world: World,
     env: E,
-    sched: S,
-    queue: CalendarQueue<Event>,
+    pub(crate) sched: S,
+    queue: Q,
     /// Busy-interval span maintained incrementally as starts and rulings
     /// happen, so completed runs never re-measure the `IntervalSet` union.
-    span: RunningSpan,
+    pub(crate) span: RunningSpan,
     seq: u64,
-    violations: Vec<Violation>,
-    rejected: Vec<RejectedAction>,
-    stats: RunStats,
-    config: SimConfig,
-    trace: Vec<TraceEvent>,
+    pub(crate) violations: Vec<Violation>,
+    pub(crate) rejected: Vec<RejectedAction>,
+    pub(crate) stats: RunStats,
+    pub(crate) config: SimConfig,
+    pub(crate) trace: Vec<TraceEvent>,
     /// Next overwrite slot when the trace is a full [`TraceMode::Ring`];
     /// the trace is un-rotated back to chronological order at run end.
     trace_next: usize,
@@ -450,9 +519,60 @@ struct Engine<E, S> {
     /// Reused release buffer handed to [`Environment::release_into`] (one
     /// allocation per run, not one per release event).
     spec_scratch: Vec<JobSpec>,
+    /// Session mode: log every start and finish into `decisions`, compact
+    /// completed records before `on_completion`, and keep no per-job
+    /// history (violations and rejections are only counted), so resident
+    /// state stays O(jobs in flight).
+    resident: bool,
+    /// Start/finish decisions since the session last drained them (always
+    /// empty in batch runs).
+    pub(crate) decisions: Vec<Decision>,
 }
 
-impl<E: Environment, S: OnlineScheduler> Engine<E, S> {
+impl<E: Environment, S: OnlineScheduler, Q: EventQueue> Engine<E, S, Q> {
+    fn new(env: E, sched: S, config: SimConfig, parts: EngineScratch<Q>) -> Self {
+        Engine {
+            world: parts.world,
+            env,
+            sched,
+            queue: parts.queue,
+            span: RunningSpan::new(),
+            seq: 0,
+            violations: Vec::new(),
+            rejected: Vec::new(),
+            stats: RunStats::default(),
+            config,
+            trace: Vec::new(),
+            trace_next: 0,
+            scratch: parts.scratch,
+            spec_scratch: parts.spec_scratch,
+            resident: false,
+            decisions: Vec::new(),
+        }
+    }
+
+    /// A session-mode engine: the caller releases jobs itself, so the
+    /// environment is only consulted for its information model.
+    pub(crate) fn resident(env: E, sched: S, max_events: usize) -> Self
+    where
+        Q: Default,
+    {
+        let parts = EngineScratch {
+            world: World::new(env.clairvoyance()),
+            queue: Q::default(),
+            scratch: Vec::new(),
+            spec_scratch: Vec::new(),
+        };
+        let config = SimConfig {
+            max_events,
+            ..SimConfig::default()
+        };
+        Engine {
+            resident: true,
+            ..Engine::new(env, sched, config, parts)
+        }
+    }
+
     #[inline]
     fn record(&mut self, kind: TraceKind) {
         match self.config.trace {
@@ -490,10 +610,18 @@ impl<E: Environment, S: OnlineScheduler> Engine<E, S> {
 
     fn reject(&mut self, fault: ActionFault) {
         self.stats.actions_rejected += 1;
-        self.rejected.push(RejectedAction {
-            at: self.world.now(),
-            fault,
-        });
+        if !self.resident {
+            self.rejected.push(RejectedAction {
+                at: self.world.now(),
+                fault,
+            });
+        }
+    }
+
+    /// Logs a session decision, carrying the running span after it.
+    fn decide(&mut self, kind: DecisionKind, id: JobId, at: Time) {
+        let span = self.span.total();
+        self.decisions.push(Decision { kind, id, at, span });
     }
 
     /// Starts a phase-timing measurement when [`SimConfig::time_phases`]
@@ -537,6 +665,9 @@ impl<E: Environment, S: OnlineScheduler> Engine<E, S> {
                 let completion = self.completion_time(id, at, p)?;
                 self.span.on_start(at, Some(completion));
                 self.push(completion, EventKind::Completion(id));
+                if self.resident {
+                    self.decide(DecisionKind::Start, id, at);
+                }
             }
             None => {
                 let t0 = self.phase_start();
@@ -642,189 +773,236 @@ impl<E: Environment, S: OnlineScheduler> Engine<E, S> {
         Ok(())
     }
 
-    fn dispatch_arrival(&mut self, arrival: Arrival) -> Result<(), EnvFault> {
-        self.dispatch_callback(|sched, ctx| sched.on_arrival(arrival, ctx))
+    /// Charges one event against the [`SimConfig::max_events`] budget.
+    fn tick(&mut self) -> Result<(), Stop> {
+        if self.stats.events_total >= self.config.max_events {
+            return Err(Stop::EventCap);
+        }
+        self.stats.events_total += 1;
+        Ok(())
     }
 
-    /// The event loop. Returns how it stopped; environment contract
-    /// breaches bubble up as errors, scheduler misbehavior is absorbed.
-    fn drive(&mut self) -> Result<DriveEnd, EnvFault> {
+    /// Processes the earliest queued event if it sorts strictly before
+    /// `bound` in the `(time, order)` order (any queued event when `None`),
+    /// and reports whether there was one.
+    fn step_before(&mut self, bound: Option<(Time, u8)>) -> Result<bool, Stop> {
+        let Some(e) = self.queue.peek() else {
+            return Ok(false);
+        };
+        if bound.is_some_and(|b| (e.time, e.order) >= b) {
+            return Ok(false);
+        }
+        self.tick()?;
+        if let Some(event) = self.queue.pop() {
+            self.process(event)?;
+        }
+        Ok(true)
+    }
+
+    /// Processes every queued event that sorts strictly before `(time,
+    /// order)`.
+    pub(crate) fn advance_before(&mut self, time: Time, order: u8) -> Result<(), Stop> {
+        while self.step_before(Some((time, order)))? {}
+        Ok(())
+    }
+
+    /// Processes every queued event, including those they queue in turn.
+    pub(crate) fn drain(&mut self) -> Result<(), Stop> {
+        while self.step_before(None)? {}
+        Ok(())
+    }
+
+    /// Opens a release instant at `now`: charges one release event and
+    /// advances the clock. Batch runs open one per distinct arrival
+    /// instant, sessions one per offer.
+    fn open_release(&mut self, now: Time) -> Result<(), Stop> {
+        self.tick()?;
+        self.stats.release_events += 1;
+        self.world.advance_to(now);
+        Ok(())
+    }
+
+    /// Releases one job at the current instant `now`: validates its spec,
+    /// queues its deadline alarm and dispatches `on_arrival`.
+    fn release(&mut self, now: Time, spec: JobSpec) -> Result<JobId, EnvFault> {
+        let JobSpec { deadline, length } = spec;
+        if deadline < now {
+            return Err(EnvFault::DeadlineBeforeArrival {
+                arrival: now,
+                deadline,
+            });
+        }
+        let clairvoyance = self.world.clairvoyance();
+        let fixed = match length {
+            LengthSpec::Fixed(p) => {
+                if !p.is_positive() {
+                    return Err(EnvFault::NonPositiveLength { length: p });
+                }
+                Some(p)
+            }
+            LengthSpec::Adaptive => {
+                if clairvoyance.reveals_class() {
+                    return Err(EnvFault::AdaptiveUnderClairvoyance);
+                }
+                None
+            }
+        };
+        let id = self.world.release(now, deadline, fixed);
+        self.stats.jobs_released += 1;
+        self.record(TraceKind::Released { id, deadline });
+        self.push(deadline, EventKind::DeadlineAlarm(id));
+        let arrival = Arrival {
+            id,
+            arrival: now,
+            deadline,
+            length: fixed.filter(|_| clairvoyance.is_clairvoyant()),
+            length_class: fixed
+                .filter(|_| clairvoyance.reveals_class())
+                .map(|p| crate::sim::env::geometric_class(p, 2.0, 1.0)),
+        };
+        self.dispatch_callback(|sched, ctx| sched.on_arrival(arrival, ctx))?;
+        Ok(id)
+    }
+
+    /// Releases one job as a release instant of its own, after every queued
+    /// event that precedes a release at `now` (a session's offer).
+    pub(crate) fn release_alone(&mut self, now: Time, spec: JobSpec) -> Result<JobId, Stop> {
+        self.advance_before(now, RELEASE_ORDER)?;
+        self.open_release(now)?;
+        Ok(self.release(now, spec)?)
+    }
+
+    /// Processes one popped event (already charged against the budget).
+    fn process(&mut self, event: Event) -> Result<(), EnvFault> {
+        self.world.advance_to(event.time);
+        match event.kind {
+            EventKind::Completion(id) => {
+                self.stats.completions += 1;
+                self.stats.jobs_completed += 1;
+                self.world.mark_completed(id);
+                self.record(TraceKind::Completed { id });
+                let Some(length) = self.world.length_of(id) else {
+                    // Unreachable: completions are only scheduled once a
+                    // length is known (mark_completed checks too).
+                    return Ok(());
+                };
+                if self.resident {
+                    self.decide(DecisionKind::Finish, id, event.time);
+                    self.world.compact_completed_prefix();
+                }
+                self.dispatch_callback(|sched, ctx| sched.on_completion(id, length, ctx))?;
+            }
+            EventKind::OrderedStart(id) => {
+                self.stats.ordered_starts += 1;
+                if self.world.is_pending(id) {
+                    self.start_job(id, event.time)?;
+                }
+            }
+            EventKind::LengthProbe(id) => {
+                self.stats.length_probes += 1;
+                let Some(started_at) = self.world.start_of(id) else {
+                    // Unreachable: probes are only scheduled after a
+                    // start; skip rather than abort.
+                    return Ok(());
+                };
+                let t0 = self.phase_start();
+                let ruling = self
+                    .env
+                    .rule_length(id, started_at, event.time, &self.world);
+                Self::phase_done(t0, &mut self.stats.wall_environment_s);
+                match ruling {
+                    LengthRuling::Assign(p) => {
+                        if !p.is_positive() {
+                            return Err(EnvFault::RuledNonPositiveLength { id, length: p });
+                        }
+                        let completion = self.completion_time(id, started_at, p)?;
+                        if completion < event.time {
+                            return Err(EnvFault::RulingInPast {
+                                id,
+                                completion,
+                                now: event.time,
+                            });
+                        }
+                        self.world.set_length(id, p);
+                        self.record(TraceKind::LengthRuled { id, length: p });
+                        self.span.on_rule(completion);
+                        self.push(completion, EventKind::Completion(id));
+                    }
+                    LengthRuling::AskAgainAt(at) => {
+                        if at <= event.time {
+                            return Err(EnvFault::ProbeNotDeferred { id, at });
+                        }
+                        self.push(at, EventKind::LengthProbe(id));
+                    }
+                }
+            }
+            EventKind::DeadlineAlarm(id) => {
+                self.stats.deadline_alarms += 1;
+                if !self.world.is_pending(id) {
+                    return Ok(()); // already started
+                }
+                if self.world.ordered_start_of(id).is_some() {
+                    // An ordered start exists; it can only be for this
+                    // very instant (start_at validates t <= d), and the
+                    // OrderedStart event sorts before remaining alarms,
+                    // so reaching here means it was issued during this
+                    // instant. Honor it now.
+                    return self.start_job(id, event.time);
+                }
+                self.dispatch_callback(|sched, ctx| sched.on_deadline(id, ctx))?;
+                if self.world.is_pending(id) && self.world.ordered_start_of(id).is_none() {
+                    self.stats.force_starts += 1;
+                    if !self.resident {
+                        self.violations.push(Violation { id, at: event.time });
+                    }
+                    self.record(TraceKind::ForcedStart { id });
+                    self.start_job(id, event.time)?;
+                }
+            }
+            EventKind::Wakeup(token) => {
+                self.stats.wakeups += 1;
+                self.record(TraceKind::Wakeup { token });
+                self.dispatch_callback(|sched, ctx| sched.on_wakeup(token, ctx))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The batch event loop: re-queries the environment before every event
+    /// (an adaptive source may change its next release after any of
+    /// them), then processes whichever comes first. Scheduler misbehavior
+    /// is absorbed; the budget and environment breaches stop it.
+    fn drive(&mut self) -> Result<(), Stop> {
         loop {
-            let queued = self.queue.peek().map(|e| (e.time, e.order));
             let t0 = self.phase_start();
             let next_release = self.env.next_release_time(&self.world);
             Self::phase_done(t0, &mut self.stats.wall_environment_s);
-            let release = match next_release {
-                Some(rt) if rt < self.world.now() => {
-                    return Err(EnvFault::ReleaseInPast {
-                        scheduled: rt,
-                        now: self.world.now(),
-                    })
-                }
-                Some(rt) => Some((rt, RELEASE_ORDER)),
-                None => None,
-            };
-            let release_due = match (queued, release) {
-                (None, None) => return Ok(DriveEnd::Drained),
-                (None, Some((rt, _))) => Some(rt),
-                (Some(_), None) => None,
-                (Some(q), Some(r)) => (r < q).then_some(r.0),
-            };
-
-            if self.stats.events_total >= self.config.max_events {
-                return Ok(DriveEnd::EventCap);
+            if let Some(rt) = next_release.filter(|&rt| rt < self.world.now()) {
+                return Err(Stop::Fault(EnvFault::ReleaseInPast {
+                    scheduled: rt,
+                    now: self.world.now(),
+                }));
             }
-            self.stats.events_total += 1;
-
-            if let Some(now) = release_due {
-                self.stats.release_events += 1;
-                self.world.advance_to(now);
-                let mut specs = std::mem::take(&mut self.spec_scratch);
-                let t0 = self.phase_start();
-                self.env.release_into(now, &self.world, &mut specs);
-                Self::phase_done(t0, &mut self.stats.wall_environment_s);
-                let clairvoyance = self.world.clairvoyance();
-                for JobSpec { deadline, length } in specs.drain(..) {
-                    if deadline < now {
-                        return Err(EnvFault::DeadlineBeforeArrival {
-                            arrival: now,
-                            deadline,
-                        });
-                    }
-                    let fixed = match length {
-                        LengthSpec::Fixed(p) => {
-                            if !p.is_positive() {
-                                return Err(EnvFault::NonPositiveLength { length: p });
-                            }
-                            Some(p)
-                        }
-                        LengthSpec::Adaptive => {
-                            if clairvoyance.reveals_class() {
-                                return Err(EnvFault::AdaptiveUnderClairvoyance);
-                            }
-                            None
-                        }
-                    };
-                    let id = self.world.release(now, deadline, fixed);
-                    self.stats.jobs_released += 1;
-                    self.record(TraceKind::Released { id, deadline });
-                    self.push(deadline, EventKind::DeadlineAlarm(id));
-                    self.dispatch_arrival(Arrival {
-                        id,
-                        arrival: now,
-                        deadline,
-                        length: if clairvoyance.is_clairvoyant() {
-                            fixed
-                        } else {
-                            None
-                        },
-                        length_class: if clairvoyance.reveals_class() {
-                            fixed.map(|p| crate::sim::env::geometric_class(p, 2.0, 1.0))
-                        } else {
-                            None
-                        },
-                    })?;
-                }
-                // (On the error paths above the buffer is simply dropped.)
-                self.spec_scratch = specs;
+            if self.step_before(next_release.map(|rt| (rt, RELEASE_ORDER)))? {
                 continue;
             }
-
-            let Some(event) = self.queue.pop() else {
-                // Unreachable: release_due == None implies the queue was
-                // non-empty above; treat defensively as drained.
-                return Ok(DriveEnd::Drained);
+            let Some(now) = next_release else {
+                return Ok(());
             };
-            self.world.advance_to(event.time);
-            match event.kind {
-                EventKind::Completion(id) => {
-                    self.stats.completions += 1;
-                    self.stats.jobs_completed += 1;
-                    self.world.mark_completed(id);
-                    self.record(TraceKind::Completed { id });
-                    let Some(length) = self.world.length_of(id) else {
-                        // Unreachable: completions are only scheduled once a
-                        // length is known (mark_completed checks too).
-                        continue;
-                    };
-                    self.dispatch_callback(|sched, ctx| sched.on_completion(id, length, ctx))?;
-                }
-                EventKind::OrderedStart(id) => {
-                    self.stats.ordered_starts += 1;
-                    if self.world.is_pending(id) {
-                        self.start_job(id, event.time)?;
-                    }
-                }
-                EventKind::LengthProbe(id) => {
-                    self.stats.length_probes += 1;
-                    let Some(started_at) = self.world.start_of(id) else {
-                        // Unreachable: probes are only scheduled after a
-                        // start; skip rather than abort.
-                        continue;
-                    };
-                    let t0 = self.phase_start();
-                    let ruling = self
-                        .env
-                        .rule_length(id, started_at, event.time, &self.world);
-                    Self::phase_done(t0, &mut self.stats.wall_environment_s);
-                    match ruling {
-                        LengthRuling::Assign(p) => {
-                            if !p.is_positive() {
-                                return Err(EnvFault::RuledNonPositiveLength { id, length: p });
-                            }
-                            let completion = self.completion_time(id, started_at, p)?;
-                            if completion < event.time {
-                                return Err(EnvFault::RulingInPast {
-                                    id,
-                                    completion,
-                                    now: event.time,
-                                });
-                            }
-                            self.world.set_length(id, p);
-                            self.record(TraceKind::LengthRuled { id, length: p });
-                            self.span.on_rule(completion);
-                            self.push(completion, EventKind::Completion(id));
-                        }
-                        LengthRuling::AskAgainAt(at) => {
-                            if at <= event.time {
-                                return Err(EnvFault::ProbeNotDeferred { id, at });
-                            }
-                            self.push(at, EventKind::LengthProbe(id));
-                        }
-                    }
-                }
-                EventKind::DeadlineAlarm(id) => {
-                    self.stats.deadline_alarms += 1;
-                    if !self.world.is_pending(id) {
-                        continue; // already started
-                    }
-                    if self.world.ordered_start_of(id).is_some() {
-                        // An ordered start exists; it can only be for this
-                        // very instant (start_at validates t <= d), and the
-                        // OrderedStart event sorts before remaining alarms,
-                        // so reaching here means it was issued during this
-                        // instant. Honor it now.
-                        self.start_job(id, event.time)?;
-                        continue;
-                    }
-                    self.dispatch_callback(|sched, ctx| sched.on_deadline(id, ctx))?;
-                    if self.world.is_pending(id) && self.world.ordered_start_of(id).is_none() {
-                        self.stats.force_starts += 1;
-                        self.violations.push(Violation { id, at: event.time });
-                        self.record(TraceKind::ForcedStart { id });
-                        self.start_job(id, event.time)?;
-                    }
-                }
-                EventKind::Wakeup(token) => {
-                    self.stats.wakeups += 1;
-                    self.record(TraceKind::Wakeup { token });
-                    self.dispatch_callback(|sched, ctx| sched.on_wakeup(token, ctx))?;
-                }
+            self.open_release(now)?;
+            let mut specs = std::mem::take(&mut self.spec_scratch);
+            let t0 = self.phase_start();
+            self.env.release_into(now, &self.world, &mut specs);
+            Self::phase_done(t0, &mut self.stats.wall_environment_s);
+            for spec in specs.drain(..) {
+                self.release(now, spec)?;
             }
+            // (On the error paths above the buffer is simply dropped.)
+            self.spec_scratch = specs;
         }
     }
 
-    fn run(mut self) -> (SimOutcome, EngineScratch) {
+    fn run(mut self) -> (SimOutcome, EngineScratch<Q>) {
         let run_start = Instant::now();
         let drive_end = self.drive();
         self.stats.wall_total_s = run_start.elapsed().as_secs_f64();
@@ -836,11 +1014,11 @@ impl<E: Environment, S: OnlineScheduler> Engine<E, S> {
             }
         }
         let termination = match drive_end {
-            Ok(DriveEnd::Drained) => Termination::Completed,
-            Ok(DriveEnd::EventCap) => Termination::EventCapExhausted {
+            Ok(()) => Termination::Completed,
+            Err(Stop::EventCap) => Termination::EventCapExhausted {
                 events: self.stats.events_total,
             },
-            Err(fault) => Termination::EnvironmentFault(fault),
+            Err(Stop::Fault(fault)) => Termination::EnvironmentFault(fault),
         };
 
         if termination.is_completed() {
@@ -902,9 +1080,9 @@ impl<E: Environment, S: OnlineScheduler> Engine<E, S> {
 /// is reset to its pristine state before reuse, so a recycled run is
 /// observably identical to a fresh one (the equivalence and determinism
 /// suites drive both paths).
-struct EngineScratch {
+struct EngineScratch<Q = CalendarQueue<Event>> {
     world: World,
-    queue: CalendarQueue<Event>,
+    queue: Q,
     scratch: Vec<Action>,
     spec_scratch: Vec<JobSpec>,
 }
@@ -960,29 +1138,7 @@ pub fn run_with_config<E: Environment, S: OnlineScheduler>(
     if let Some(n) = expected {
         parts.world.reserve_jobs(n);
     }
-    let EngineScratch {
-        world,
-        queue,
-        scratch,
-        spec_scratch,
-    } = *parts;
-    let (outcome, used) = Engine {
-        world,
-        env,
-        sched,
-        queue,
-        span: RunningSpan::new(),
-        seq: 0,
-        violations: Vec::new(),
-        rejected: Vec::new(),
-        stats: RunStats::default(),
-        config,
-        trace: Vec::new(),
-        trace_next: 0,
-        scratch,
-        spec_scratch,
-    }
-    .run();
+    let (outcome, used) = Engine::new(env, sched, config, *parts).run();
     if used.world.capacity() <= POOL_MAX_RECORDS {
         SCRATCH_POOL.with(|p| p.set(Some(Box::new(used))));
     }
