@@ -1,12 +1,12 @@
-//! Machine-readable benchmark records (`BENCH_results.json`).
+//! Machine-readable benchmark records.
 //!
-//! The bench targets in `fjs-bench` emit [`BenchSample`] records and
-//! serialize them through [`BenchReport`] into a stable JSON schema, so a
-//! later revision can prove a speedup (or catch a regression) with
-//! `fjs bench-diff old.json new.json`. The workspace builds offline, so
-//! both the serializer and the parser are hand-rolled here — the parser
-//! covers exactly the JSON subset the serializer emits (objects, arrays,
-//! strings, finite numbers, booleans, null).
+//! `fjs bench --json` emits its [`BenchSample`] records through
+//! [`BenchReport`] in a stable JSON schema, so a later revision can prove a
+//! speedup (or catch a regression) with `fjs bench-diff old.json new.json`.
+//! The workspace builds offline, so both the serializer and the parser are
+//! hand-rolled here — the parser covers exactly the JSON subset the
+//! serializer emits (objects, arrays, strings, finite numbers, booleans,
+//! null).
 //!
 //! # Schema (version 1)
 //!
@@ -16,7 +16,7 @@
 //!   "git_describe": "cfe0d03-dirty",
 //!   "cases": [
 //!     {
-//!       "name": "interval-set/union-measure/1000",
+//!       "name": "interval-union-bulk",
 //!       "median_s": 1.84e-5,
 //!       "min_s": 1.79e-5,
 //!       "mean_s": 1.91e-5,
@@ -27,9 +27,7 @@
 //! }
 //! ```
 //!
-//! Case names are unique; re-serializing a report a target has merged into
-//! replaces same-name cases and keeps the rest, so the three bench binaries
-//! can share one output file. All times are seconds per iteration.
+//! Case names are unique. All times are seconds per iteration.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -77,8 +75,8 @@ impl BenchReport {
         }
     }
 
-    /// Adds `sample`, replacing any existing case with the same name (so
-    /// bench targets can merge into a shared file).
+    /// Adds `sample`, replacing any existing case with the same name, so
+    /// case names stay unique.
     pub fn upsert(&mut self, sample: BenchSample) {
         match self.cases.iter_mut().find(|c| c.name == sample.name) {
             Some(slot) => *slot = sample,

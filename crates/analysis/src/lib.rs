@@ -26,4 +26,4 @@ pub use gantt::{render_busy_strip, render_gantt, GanttOptions};
 pub use stats::Summary;
 pub use sweep::{grid2, parallel_map, sharded_map, ShardPlan};
 pub use table::{f2, f3, Table};
-pub use timing::{time_case, time_case_sample};
+pub use timing::time_case;

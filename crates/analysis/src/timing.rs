@@ -1,21 +1,11 @@
-//! The timing harness behind every benchmark in the workspace: the bench
-//! targets in `fjs-bench` and the `fjs bench` subcommand share these
-//! calibrated measurement loops, so their [`crate::benchjson`] records are
-//! directly comparable.
+//! The timing loop behind `fjs bench`: calibrated, warmed-up measurement of
+//! one closure into a [`crate::benchjson`] record.
 
 use crate::benchjson::BenchSample;
 use std::time::Instant;
 
-/// Whether quick mode is on (`FJS_BENCH_QUICK` set non-empty, not `0`):
-/// bench targets shrink their input sizes and the harness shrinks sample
-/// counts, so CI can smoke the full pipeline in seconds.
-pub fn quick() -> bool {
-    std::env::var("FJS_BENCH_QUICK")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false)
-}
-
-/// Times `f` and returns the measurement as a [`BenchSample`] record.
+/// Times `f`, prints one aligned report line (median / min / mean per
+/// iteration) and returns the measurement as a [`BenchSample`] record.
 ///
 /// Calibration: the closure is first *warmed up* (population of caches,
 /// branch predictors, lazy allocations), then the per-sample iteration
@@ -24,11 +14,14 @@ pub fn quick() -> bool {
 /// sample times on short cases. The chosen `iters` is surfaced in the
 /// returned record.
 ///
+/// `quick` shrinks the sample count and the per-sample time budget, so a
+/// smoke run finishes in seconds; the work `f` does is the same either way.
+///
 /// A tiny fixed-iteration harness, good enough for the coarse regressions
-/// these targets guard; it deliberately trades Criterion's statistics for
-/// a dependency-free build.
-pub fn time_case_sample<R>(name: &str, mut f: impl FnMut() -> R) -> BenchSample {
-    let (samples, target_sample_ms, probes) = if quick() { (4, 5.0, 3) } else { (12, 80.0, 3) };
+/// it guards; it deliberately trades Criterion's statistics for a
+/// dependency-free build.
+pub fn time_case<R>(name: &str, quick: bool, mut f: impl FnMut() -> R) -> BenchSample {
+    let (samples, target_sample_ms, probes) = if quick { (4, 5.0, 3) } else { (12, 80.0, 3) };
 
     // Warm up: one untimed call, discarded.
     std::hint::black_box(f());
@@ -55,6 +48,12 @@ pub fn time_case_sample<R>(name: &str, mut f: impl FnMut() -> R) -> BenchSample 
     let median = per_iter[per_iter.len() / 2];
     let min = per_iter[0];
     let mean = per_iter.iter().sum::<f64>() / per_iter.len() as f64;
+    println!(
+        "{name:<44} median {:>12}  min {:>12}  mean {:>12}  ({iters} it/sample)",
+        fmt_duration(median),
+        fmt_duration(min),
+        fmt_duration(mean),
+    );
     BenchSample {
         name: name.to_string(),
         median_s: median,
@@ -63,21 +62,6 @@ pub fn time_case_sample<R>(name: &str, mut f: impl FnMut() -> R) -> BenchSample 
         iters,
         samples,
     }
-}
-
-/// Times `f`, prints one aligned report line (median / min / mean per
-/// iteration) and returns the record. Convenience wrapper over
-/// [`time_case_sample`] used by all bench targets.
-pub fn time_case<R>(name: &str, f: impl FnMut() -> R) -> BenchSample {
-    let sample = time_case_sample(name, f);
-    println!(
-        "{name:<44} median {:>12}  min {:>12}  mean {:>12}  ({} it/sample)",
-        fmt_duration(sample.median_s),
-        fmt_duration(sample.min_s),
-        fmt_duration(sample.mean_s),
-        sample.iters,
-    );
-    sample
 }
 
 /// Human-friendly seconds formatting (ns/µs/ms/s).
@@ -108,7 +92,7 @@ mod tests {
     #[test]
     fn time_case_runs_the_closure_and_surfaces_calibration() {
         let mut calls = 0usize;
-        let sample = time_case("noop", || calls += 1);
+        let sample = time_case("noop", true, || calls += 1);
         // 1 warm-up + ≥3 probes + samples×iters timed calls.
         assert!(calls >= 1 + 3 + sample.samples * sample.iters);
         assert_eq!(sample.name, "noop");

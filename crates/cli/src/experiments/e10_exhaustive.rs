@@ -163,11 +163,9 @@ pub fn validate_on(kind: SchedulerKind, instances: &[Instance]) -> WorstCase {
     }
 }
 
-/// Experiment runner.
-pub fn run(profile: Profile) -> Vec<Table> {
-    let count = profile.pick(60, 500);
-    let jobs_max = 6;
-    let kinds = [
+/// The scheduler kinds E10 validates, in table order.
+pub fn kinds() -> [SchedulerKind; 7] {
+    [
         SchedulerKind::Batch,
         SchedulerKind::BatchPlus,
         SchedulerKind::Cdb {
@@ -178,7 +176,14 @@ pub fn run(profile: Profile) -> Vec<Table> {
         SchedulerKind::Doubler { c: 1.0 },
         SchedulerKind::Eager,
         SchedulerKind::Lazy,
-    ];
+    ]
+}
+
+/// Experiment runner.
+pub fn run(profile: Profile) -> Vec<Table> {
+    let count = profile.pick(60, 500);
+    let jobs_max = 6;
+    let kinds = kinds();
 
     let mut t = Table::new(
         format!(

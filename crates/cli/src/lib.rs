@@ -3,8 +3,8 @@
 //! Experiment implementations (E1–E11) and the `fjs` binary that runs them.
 //! Each experiment regenerates one figure/theorem of Ren & Tang (SPAA 2017)
 //! as a table; `fjs all --full > EXPERIMENTS-raw.md` reproduces the data
-//! behind EXPERIMENTS.md. The `fjs-bench` crate calls the same experiment
-//! functions at `Profile::Quick`. The [`soak`] module is the engine behind
+//! behind EXPERIMENTS.md. The [`mod@bench`] module is the `fjs bench` timing
+//! suite. The [`soak`] module is the engine behind
 //! `fjs soak`: supervised long-running sweeps with a crash-safe checkpoint
 //! journal and `SIGINT`-graceful shutdown.
 

@@ -13,7 +13,8 @@
 //! fjs chaos batch+         # fault-injection matrix for one scheduler
 //! fjs stats batch+         # engine RunStats counters for one scheduler
 //! fjs stats all --log-jsonl runs.jsonl   # counters for all, logged as JSONL
-//! fjs bench-diff old.json new.json       # compare two BENCH_results.json
+//! fjs bench --json new.json              # time the bench suite, write its records
+//! fjs bench-diff old.json new.json       # gate new.json against old.json
 //! fjs conform all          # property-based conformance: every scheduler × oracle
 //! fjs conform uniform      # the uniform-jobs family on the unit-length deck
 //! fjs conform batch+ --cases 256 --seed 7    # one scheduler, deeper run
@@ -26,8 +27,9 @@
 //! ```
 //!
 //! Exit codes: 0 success, 1 runtime failure (failed audit, unsound chaos
-//! cell, conformance oracle violation, bench regression past threshold,
-//! unreadable/unparseable input, I/O error), 2 usage error.
+//! cell, conformance oracle violation, bench regression past threshold or
+//! a baseline case missing, unreadable/unparseable input, I/O error), 2
+//! usage error.
 
 use fjs_cli::experiments::{all, by_id, Experiment, Profile};
 use std::io::Write as _;
@@ -55,7 +57,7 @@ const USAGE: &str = "usage: fjs <list | all | e1..e15> [--full] [--csv <dir>]\n\
  \u{20}      fjs chaos [scheduler] [--watchdog-events <n>]\n\
  \u{20}      fjs stats <scheduler|all> [--n <jobs>] [--seed <s>] [--log-jsonl <file>]\n\
  \u{20}      fjs bench [--json <file>] [--quick]\n\
- \u{20}      fjs bench-diff <old.json> <new.json> [--threshold <frac> | --max-regress <pct>]\n\
+ \u{20}      fjs bench-diff <old.json> <new.json> [--max-regress <pct>]   (default 20)\n\
  \u{20}      fjs conform <scheduler|all|uniform|chaos> [--cases <n>] [--seed <s>] [--quick]\n\
  \u{20}                  [--deck main|uniform] [--corpus <dir>] [--journal <file>] [--resume]\n\
  \u{20}                  [--watchdog-events <n>] [--shards <n>]\n\
@@ -503,21 +505,18 @@ fn run_stats_jsonl_record(
 
 /// Runs the in-process bench suite, prints the per-case report lines and
 /// optionally writes the schema-v1 JSON (`--json <file>`, `-` for stdout).
-/// `--quick` forces the harness's quick calibration (same as setting
-/// `FJS_BENCH_QUICK=1`).
+/// `--quick` takes fewer samples per case; every case's input is the same.
 fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     let mut args = args.to_vec();
     let json_path = take_flag_value(&mut args, "--json")?;
-    if take_switch(&mut args, "--quick") {
-        std::env::set_var("FJS_BENCH_QUICK", "1");
-    }
+    let quick = take_switch(&mut args, "--quick");
     if let Some(extra) = args.first() {
         return Err(CliError::Usage(Some(format!(
             "bench: unexpected argument '{extra}'"
         ))));
     }
     fjs_opt::cache::reset();
-    let report = fjs_cli::bench::run_bench_suite();
+    let report = fjs_cli::bench::run_bench_suite(quick);
     let cache = fjs_opt::cache::stats();
     if cache.hits + cache.misses > 0 {
         eprintln!(
@@ -544,23 +543,7 @@ fn cmd_bench_diff(args: &[String]) -> Result<(), CliError> {
     use fjs_analysis::benchjson::{diff_reports, BenchReport};
 
     let mut args = args.to_vec();
-    let explicit_threshold = match take_flag_value(&mut args, "--threshold")? {
-        Some(v) => {
-            let t: f64 = v.parse().map_err(|_| {
-                CliError::Usage(Some(format!("--threshold: '{v}' is not a number")))
-            })?;
-            if !(t.is_finite() && t >= 0.0) {
-                return Err(CliError::Usage(Some(format!(
-                    "--threshold must be a non-negative fraction, got {v}"
-                ))));
-            }
-            Some(t)
-        }
-        None => None,
-    };
-    // `--max-regress <pct>` is the CI-facing spelling: a percentage rather
-    // than a fraction (`--max-regress 15` ≡ `--threshold 0.15`).
-    let max_regress = match take_flag_value(&mut args, "--max-regress")? {
+    let threshold = match take_flag_value(&mut args, "--max-regress")? {
         Some(v) => {
             let p: f64 = v.parse().map_err(|_| {
                 CliError::Usage(Some(format!("--max-regress: '{v}' is not a number")))
@@ -570,20 +553,15 @@ fn cmd_bench_diff(args: &[String]) -> Result<(), CliError> {
                     "--max-regress must be a non-negative percentage, got {v}"
                 ))));
             }
-            Some(p / 100.0)
+            p / 100.0
         }
-        None => None,
+        None => 0.2,
     };
-    let threshold = match (explicit_threshold, max_regress) {
-        (Some(_), Some(_)) => {
-            return Err(CliError::Usage(Some(
-                "bench-diff takes --threshold or --max-regress, not both".into(),
-            )));
-        }
-        (Some(t), None) => t,
-        (None, Some(t)) => t,
-        (None, None) => 0.2,
-    };
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(CliError::Usage(Some(format!(
+            "bench-diff: unknown option '{flag}'"
+        ))));
+    }
     let [old_path, new_path] = args.as_slice() else {
         return Err(CliError::Usage(Some(
             "bench-diff needs exactly two files: <old.json> <new.json>".into(),
@@ -628,9 +606,6 @@ fn cmd_bench_diff(args: &[String]) -> Result<(), CliError> {
         ]);
     }
     println!("{}", table.render());
-    for name in &diff.only_old {
-        println!("only in old: {name}");
-    }
     for name in &diff.only_new {
         println!("only in new: {name}");
     }
@@ -640,8 +615,25 @@ fn cmd_bench_diff(args: &[String]) -> Result<(), CliError> {
         ));
     }
 
+    // A case missing from the new report fails too: otherwise renaming or
+    // dropping a case would quietly take it out of the gate.
     let regressions = diff.regressions(threshold);
-    if regressions.is_empty() {
+    let mut failures = Vec::new();
+    if !regressions.is_empty() {
+        failures.push(format!(
+            "{} case(s) regressed by more than {:.0}%",
+            regressions.len(),
+            threshold * 100.0
+        ));
+    }
+    if !diff.only_old.is_empty() {
+        failures.push(format!(
+            "{} case(s) missing from {new_path}: {}",
+            diff.only_old.len(),
+            diff.only_old.join(", ")
+        ));
+    }
+    if failures.is_empty() {
         println!(
             "\nok: no case regressed by more than {:.0}% ({} compared)",
             threshold * 100.0,
@@ -649,11 +641,7 @@ fn cmd_bench_diff(args: &[String]) -> Result<(), CliError> {
         );
         Ok(())
     } else {
-        Err(CliError::Runtime(format!(
-            "{} case(s) regressed by more than {:.0}%",
-            regressions.len(),
-            threshold * 100.0
-        )))
+        Err(CliError::Runtime(failures.join("; ")))
     }
 }
 

@@ -1,6 +1,6 @@
 //! Smoke test: every registered experiment runs at quick profile and
-//! produces well-formed, non-empty tables (the same code paths the `fjs`
-//! binary and `cargo bench` exercise).
+//! produces well-formed, non-empty tables (the same code paths `fjs all`
+//! runs).
 
 use fjs_cli::experiments::{all, Profile};
 

@@ -329,15 +329,42 @@ fn sharded_soak_interrupted_and_resumed_converges_to_serial() {
 fn bench_json_honours_schema_v1_and_self_diff_is_clean() {
     use fjs::analysis::{diff_reports, BenchReport};
 
-    std::env::set_var("FJS_BENCH_QUICK", "1");
-    let report = fjs_cli::bench::run_bench_suite();
+    let report = fjs_cli::bench::run_bench_suite(true);
     report
         .validate()
         .expect("bench report must satisfy schema v1");
-    assert_eq!(report.cases.len(), 7, "the suite ships seven named cases");
+    // Case names are the CI gate's keys: the first seven are the
+    // `BENCH_baseline.json` cases.
+    let names: Vec<&str> = report.cases.iter().map(|c| c.name.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "conform-deck",
+            "exhaustive-sweep",
+            "engine-static-1k",
+            "engine-static-10k",
+            "interval-union-bulk",
+            "serve-throughput-1k",
+            "serve-throughput-1k-w4",
+            "interval-collect-measure-10k",
+            "opt-lower-bounds-1k",
+            "opt-dp-n6",
+            "opt-descent-200",
+            "dbp-first-fit-1k",
+            "dbp-cd-first-fit-1k",
+            "engine-1k/eager",
+            "engine-1k/lazy",
+            "engine-1k/batch+",
+            "engine-1k/cdb",
+            "engine-1k/profit",
+            "engine-1k/doubler",
+        ]
+    );
+
+    let baseline = BenchReport::parse(include_str!("../BENCH_baseline.json")).expect("baseline");
     assert!(
-        report.cases.iter().any(|c| c.name == "engine-static-10k"),
-        "the 10x engine case (arena/calendar scaling) must be in the suite"
+        diff_reports(&baseline, &report).only_old.is_empty(),
+        "every BENCH_baseline.json case must still be in the suite"
     );
 
     let reparsed = BenchReport::parse(&report.to_json()).expect("round-trip parse");
