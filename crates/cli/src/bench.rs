@@ -106,8 +106,8 @@ fn exhaustive_sweep() -> Workload {
 /// `engine-static-1k` / `-10k`: one full event-driven Batch run of an
 /// `n`-job cloud-batch instance under the default
 /// [`fjs_core::sim::SimConfig`] — queue growth, action application and span
-/// assembly, no tracing. At 10k, arena locality and calendar-queue O(1)
-/// pops dominate (an O(n) removal shows up superlinearly). The arena
+/// assembly, no tracing. At 10k, arena locality and O(log n) heap pops
+/// dominate (an O(n) removal shows up superlinearly). The arena
 /// memory counters are pinned so regressions fail on footprint, not just
 /// time.
 fn engine_static(n: usize) -> Workload {

@@ -412,12 +412,6 @@ pub fn drive(
     }
 }
 
-/// Backwards-compatible alias: open-loop drive over a unix socket.
-#[cfg(unix)]
-pub fn drive_socket(path: &std::path::Path, opts: &LoadgenOptions) -> Result<DriveReport, String> {
-    drive_open_loop(&DriveTarget::Unix(path.to_path_buf()), opts)
-}
-
 /// Sends the script's request lines open-loop at `opts.rate` requests
 /// per wall-clock second (comment lines are skipped) and measures
 /// per-reply latency.

@@ -33,7 +33,7 @@
 use std::fmt;
 
 use crate::job::{Instance, JobId};
-use crate::sim::engine::{Engine, EnvFault, HeapQueue, Stop};
+use crate::sim::engine::{Engine, EnvFault, Stop};
 use crate::sim::env::{Clairvoyance, JobSpec, StaticEnv};
 use crate::sim::sched::OnlineScheduler;
 use crate::sim::stats::RunStats;
@@ -174,7 +174,7 @@ impl fmt::Display for Decision {
 
 /// A session-mode engine. Its environment releases nothing (offers do)
 /// and only carries the information model.
-type SessionEngine = Engine<StaticEnv, Box<dyn OnlineScheduler>, HeapQueue>;
+type SessionEngine = Engine<StaticEnv, Box<dyn OnlineScheduler>>;
 
 /// One resident scheduler instance (see module docs).
 pub struct Session {

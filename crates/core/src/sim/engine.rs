@@ -33,7 +33,6 @@ use crate::interval::RunningSpan;
 use crate::job::{Instance, JobId};
 use crate::schedule::Schedule;
 use crate::service::{Decision, DecisionKind};
-use crate::sim::calendar::{CalendarEvent, CalendarQueue};
 use crate::sim::env::{Clairvoyance, Environment, JobSpec, LengthRuling, LengthSpec};
 use crate::sim::sched::{Action, Arrival, Ctx, OnlineScheduler};
 use crate::sim::stats::RunStats;
@@ -52,8 +51,7 @@ pub struct SimConfig {
     /// environments or scheduler wakeup loops).
     pub max_events: usize,
     /// What to record into the outcome's [`TraceEvent`] log: nothing (the
-    /// default), the full chronology, or a bounded ring of the most recent
-    /// events. See [`TraceMode`].
+    /// default) or the full chronology. See [`TraceMode`].
     pub trace: TraceMode,
     /// Measure wall-clock time spent inside scheduler callbacks and
     /// environment oracles ([`RunStats::wall_scheduler_s`] /
@@ -358,8 +356,7 @@ pub struct SimOutcome {
     /// applied/rejected actions, force-starts and wall-clock phases.
     pub stats: RunStats,
     /// Chronological event log (empty unless [`SimConfig::trace`] asked
-    /// for recording; bounded to the most recent events under
-    /// [`TraceMode::Ring`]).
+    /// for recording).
     pub trace: Vec<TraceEvent>,
 }
 
@@ -424,58 +421,6 @@ impl PartialOrd for Event {
     }
 }
 
-impl CalendarEvent for Event {
-    fn time(&self) -> Time {
-        self.time
-    }
-}
-
-/// The engine's event queue, popping in the `(time, order, seq)` order.
-/// Batch runs use the [`CalendarQueue`], built for long runs with many
-/// queued events. A resident session uses a binary heap: one compact
-/// allocation, where a calendar ring spreads each session's few queued
-/// events over many small buckets that a daemon interleaving sessions
-/// finds cold in cache.
-pub(crate) trait EventQueue {
-    fn push(&mut self, event: Event);
-    fn peek(&mut self) -> Option<&Event>;
-    fn pop(&mut self) -> Option<Event>;
-    fn len(&self) -> usize;
-}
-
-impl EventQueue for CalendarQueue<Event> {
-    fn push(&mut self, event: Event) {
-        CalendarQueue::push(self, event);
-    }
-    fn peek(&mut self) -> Option<&Event> {
-        CalendarQueue::peek(self)
-    }
-    fn pop(&mut self) -> Option<Event> {
-        CalendarQueue::pop(self)
-    }
-    fn len(&self) -> usize {
-        CalendarQueue::len(self)
-    }
-}
-
-/// A session-mode engine's queue (see [`EventQueue`]).
-pub(crate) type HeapQueue = BinaryHeap<Reverse<Event>>;
-
-impl EventQueue for HeapQueue {
-    fn push(&mut self, event: Event) {
-        BinaryHeap::push(self, Reverse(event));
-    }
-    fn peek(&mut self) -> Option<&Event> {
-        BinaryHeap::peek(self).map(|Reverse(e)| e)
-    }
-    fn pop(&mut self) -> Option<Event> {
-        BinaryHeap::pop(self).map(|Reverse(e)| e)
-    }
-    fn len(&self) -> usize {
-        BinaryHeap::len(self)
-    }
-}
-
 /// Why a drive step stopped short of its goal (the non-completed half of
 /// [`Termination`]).
 pub(crate) enum Stop {
@@ -496,11 +441,13 @@ impl From<EnvFault> for Stop {
 /// resident and feeds it one job at a time ([`Engine::release_alone`],
 /// [`Engine::drain`]), so both walk the same `(time, order, seq)` order
 /// through the same code.
-pub(crate) struct Engine<E, S, Q = CalendarQueue<Event>> {
+pub(crate) struct Engine<E, S> {
     pub(crate) world: World,
     env: E,
     pub(crate) sched: S,
-    queue: Q,
+    /// Pending events, popped in the `(time, order, seq)` order of
+    /// [`Event`]'s `Ord`.
+    queue: BinaryHeap<Reverse<Event>>,
     /// Busy-interval span maintained incrementally as starts and rulings
     /// happen, so completed runs never re-measure the `IntervalSet` union.
     pub(crate) span: RunningSpan,
@@ -510,9 +457,6 @@ pub(crate) struct Engine<E, S, Q = CalendarQueue<Event>> {
     pub(crate) stats: RunStats,
     pub(crate) config: SimConfig,
     pub(crate) trace: Vec<TraceEvent>,
-    /// Next overwrite slot when the trace is a full [`TraceMode::Ring`];
-    /// the trace is un-rotated back to chronological order at run end.
-    trace_next: usize,
     /// Reused action buffer handed to each [`Ctx`] (one allocation per run,
     /// not per callback).
     scratch: Vec<Action>,
@@ -529,8 +473,8 @@ pub(crate) struct Engine<E, S, Q = CalendarQueue<Event>> {
     pub(crate) decisions: Vec<Decision>,
 }
 
-impl<E: Environment, S: OnlineScheduler, Q: EventQueue> Engine<E, S, Q> {
-    fn new(env: E, sched: S, config: SimConfig, parts: EngineScratch<Q>) -> Self {
+impl<E: Environment, S: OnlineScheduler> Engine<E, S> {
+    fn new(env: E, sched: S, config: SimConfig, parts: EngineScratch) -> Self {
         Engine {
             world: parts.world,
             env,
@@ -543,7 +487,6 @@ impl<E: Environment, S: OnlineScheduler, Q: EventQueue> Engine<E, S, Q> {
             stats: RunStats::default(),
             config,
             trace: Vec::new(),
-            trace_next: 0,
             scratch: parts.scratch,
             spec_scratch: parts.spec_scratch,
             resident: false,
@@ -553,13 +496,10 @@ impl<E: Environment, S: OnlineScheduler, Q: EventQueue> Engine<E, S, Q> {
 
     /// A session-mode engine: the caller releases jobs itself, so the
     /// environment is only consulted for its information model.
-    pub(crate) fn resident(env: E, sched: S, max_events: usize) -> Self
-    where
-        Q: Default,
-    {
+    pub(crate) fn resident(env: E, sched: S, max_events: usize) -> Self {
         let parts = EngineScratch {
             world: World::new(env.clairvoyance()),
-            queue: Q::default(),
+            queue: BinaryHeap::new(),
             scratch: Vec::new(),
             spec_scratch: Vec::new(),
         };
@@ -576,34 +516,22 @@ impl<E: Environment, S: OnlineScheduler, Q: EventQueue> Engine<E, S, Q> {
     #[inline]
     fn record(&mut self, kind: TraceKind) {
         match self.config.trace {
-            TraceMode::Off | TraceMode::Ring(0) => {}
+            TraceMode::Off => {}
             TraceMode::Full => self.trace.push(TraceEvent {
                 time: self.world.now(),
                 kind,
             }),
-            TraceMode::Ring(n) => {
-                let ev = TraceEvent {
-                    time: self.world.now(),
-                    kind,
-                };
-                if self.trace.len() < n {
-                    self.trace.push(ev);
-                } else {
-                    self.trace[self.trace_next] = ev;
-                    self.trace_next = (self.trace_next + 1) % n;
-                }
-            }
         }
     }
 
     #[inline]
     fn push(&mut self, time: Time, kind: EventKind) {
-        self.queue.push(Event {
+        self.queue.push(Reverse(Event {
             time,
             order: kind.order(),
             seq: self.seq,
             kind,
-        });
+        }));
         self.seq += 1;
         self.stats.peak_queue = self.stats.peak_queue.max(self.queue.len());
     }
@@ -786,14 +714,14 @@ impl<E: Environment, S: OnlineScheduler, Q: EventQueue> Engine<E, S, Q> {
     /// `bound` in the `(time, order)` order (any queued event when `None`),
     /// and reports whether there was one.
     fn step_before(&mut self, bound: Option<(Time, u8)>) -> Result<bool, Stop> {
-        let Some(e) = self.queue.peek() else {
+        let Some(Reverse(e)) = self.queue.peek() else {
             return Ok(false);
         };
         if bound.is_some_and(|b| (e.time, e.order) >= b) {
             return Ok(false);
         }
         self.tick()?;
-        if let Some(event) = self.queue.pop() {
+        if let Some(Reverse(event)) = self.queue.pop() {
             self.process(event)?;
         }
         Ok(true)
@@ -1002,17 +930,10 @@ impl<E: Environment, S: OnlineScheduler, Q: EventQueue> Engine<E, S, Q> {
         }
     }
 
-    fn run(mut self) -> (SimOutcome, EngineScratch<Q>) {
+    fn run(mut self) -> (SimOutcome, EngineScratch) {
         let run_start = Instant::now();
         let drive_end = self.drive();
         self.stats.wall_total_s = run_start.elapsed().as_secs_f64();
-        // A full ring holds the newest events wrapped around `trace_next`;
-        // rotate back so the outcome's trace is chronological.
-        if let TraceMode::Ring(n) = self.config.trace {
-            if n > 0 && self.trace.len() == n {
-                self.trace.rotate_left(self.trace_next);
-            }
-        }
         let termination = match drive_end {
             Ok(()) => Termination::Completed,
             Err(Stop::EventCap) => Termination::EventCapExhausted {
@@ -1073,16 +994,16 @@ impl<E: Environment, S: OnlineScheduler, Q: EventQueue> Engine<E, S, Q> {
 }
 
 /// The engine's recyclable allocations: the arena-backed world (eleven
-/// column vectors), the calendar ring, and the two per-run scratch buffers.
+/// column vectors), the event heap, and the two per-run scratch buffers.
 /// `run_with_config` parks one of these per thread between runs, so
 /// harness-shaped workloads — thousands of deck-sized runs back to back —
 /// pay the malloc bill once per thread instead of once per run. Every part
 /// is reset to its pristine state before reuse, so a recycled run is
 /// observably identical to a fresh one (the equivalence and determinism
 /// suites drive both paths).
-struct EngineScratch<Q = CalendarQueue<Event>> {
+struct EngineScratch {
     world: World,
-    queue: Q,
+    queue: BinaryHeap<Reverse<Event>>,
     scratch: Vec<Action>,
     spec_scratch: Vec<JobSpec>,
 }
@@ -1107,35 +1028,25 @@ pub fn run_with_config<E: Environment, S: OnlineScheduler>(
     sched: S,
     config: SimConfig,
 ) -> SimOutcome {
-    // Pre-sized: a typical run keeps a deadline alarm plus a completion in
-    // flight per overlapping job, so `2n` calendar days absorb the common
-    // case. The cap keeps huge runs from paying for a giant ring up front
-    // (the queue grows itself), and the `2n` side keeps tiny runs — the
-    // conformance decks and sweeps are dominated by 2–8 job instances —
-    // on a few-bucket ring instead of the full default.
-    let mut queue_hint = INITIAL_QUEUE_CAPACITY;
-    let expected = env.expected_jobs();
-    if let Some(n) = expected {
-        queue_hint = queue_hint.min(2 * n.max(1));
-    }
     // Recycle the previous run's allocations (this thread) or start fresh;
     // either way the parts are in their pristine state before the run.
     let mut parts = match SCRATCH_POOL.with(|p| p.take()) {
         Some(mut parts) => {
             parts.world.reset(env.clairvoyance());
-            parts.queue.reset(queue_hint.min(config.max_events));
+            // An event-capped run parks a queue that still holds events.
+            parts.queue.clear();
             parts.scratch.clear();
             parts.spec_scratch.clear();
             parts
         }
         None => Box::new(EngineScratch {
             world: World::new(env.clairvoyance()),
-            queue: CalendarQueue::with_capacity(queue_hint.min(config.max_events)),
+            queue: BinaryHeap::new(),
             scratch: Vec::new(),
             spec_scratch: Vec::new(),
         }),
     };
-    if let Some(n) = expected {
+    if let Some(n) = env.expected_jobs() {
         parts.world.reserve_jobs(n);
     }
     let (outcome, used) = Engine::new(env, sched, config, *parts).run();
@@ -1144,9 +1055,6 @@ pub fn run_with_config<E: Environment, S: OnlineScheduler>(
     }
     outcome
 }
-
-/// Initial event-queue capacity (clamped to `max_events` for micro runs).
-const INITIAL_QUEUE_CAPACITY: usize = 64;
 
 /// Convenience: runs a scheduler on a static instance.
 ///
@@ -1552,53 +1460,6 @@ mod tests {
     #[test]
     fn trace_empty_when_disabled() {
         let out = run_static(&inst(), Clairvoyance::Clairvoyant, EagerTest);
-        assert!(out.trace.is_empty());
-    }
-
-    #[test]
-    fn ring_trace_keeps_newest_events_in_order() {
-        let full = {
-            let env = crate::sim::env::StaticEnv::new(&inst(), Clairvoyance::Clairvoyant);
-            run_with_config(
-                env,
-                EagerTest,
-                SimConfig {
-                    trace: TraceMode::Full,
-                    ..Default::default()
-                },
-            )
-        };
-        assert!(full.trace.len() > 4, "need enough events to wrap the ring");
-        for n in [1, 4, full.trace.len(), full.trace.len() + 10] {
-            let env = crate::sim::env::StaticEnv::new(&inst(), Clairvoyance::Clairvoyant);
-            let ringed = run_with_config(
-                env,
-                EagerTest,
-                SimConfig {
-                    trace: TraceMode::Ring(n),
-                    ..Default::default()
-                },
-            );
-            let keep = full.trace.len().min(n);
-            assert_eq!(
-                ringed.trace,
-                full.trace[full.trace.len() - keep..],
-                "Ring({n}) must equal the chronological tail of the full trace"
-            );
-        }
-    }
-
-    #[test]
-    fn ring_zero_records_nothing() {
-        let env = crate::sim::env::StaticEnv::new(&inst(), Clairvoyance::Clairvoyant);
-        let out = run_with_config(
-            env,
-            EagerTest,
-            SimConfig {
-                trace: TraceMode::Ring(0),
-                ..Default::default()
-            },
-        );
         assert!(out.trace.is_empty());
     }
 

@@ -44,30 +44,17 @@ struct LegacyEngine<E, S> {
     stats: RunStats,
     config: SimConfig,
     trace: Vec<TraceEvent>,
-    trace_next: usize,
     scratch: Vec<Action>,
 }
 
 impl<E: Environment, S: OnlineScheduler> LegacyEngine<E, S> {
     fn record(&mut self, kind: TraceKind) {
         match self.config.trace {
-            TraceMode::Off | TraceMode::Ring(0) => {}
+            TraceMode::Off => {}
             TraceMode::Full => self.trace.push(TraceEvent {
                 time: self.world.now(),
                 kind,
             }),
-            TraceMode::Ring(n) => {
-                let ev = TraceEvent {
-                    time: self.world.now(),
-                    kind,
-                };
-                if self.trace.len() < n {
-                    self.trace.push(ev);
-                } else {
-                    self.trace[self.trace_next] = ev;
-                    self.trace_next = (self.trace_next + 1) % n;
-                }
-            }
         }
     }
 
@@ -379,11 +366,6 @@ impl<E: Environment, S: OnlineScheduler> LegacyEngine<E, S> {
         let run_start = Instant::now();
         let drive_end = self.drive();
         self.stats.wall_total_s = run_start.elapsed().as_secs_f64();
-        if let TraceMode::Ring(n) = self.config.trace {
-            if n > 0 && self.trace.len() == n {
-                self.trace.rotate_left(self.trace_next);
-            }
-        }
         let termination = match drive_end {
             Ok(DriveEnd::Drained) => Termination::Completed,
             Ok(DriveEnd::EventCap) => Termination::EventCapExhausted {
@@ -448,7 +430,6 @@ pub fn run_with_config_legacy<E: Environment, S: OnlineScheduler>(
         stats: RunStats::default(),
         config,
         trace: Vec::new(),
-        trace_next: 0,
         scratch: Vec::new(),
     }
     .run()

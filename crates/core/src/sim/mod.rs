@@ -6,7 +6,6 @@
 //! [`RunStats`] counters every run accumulates.
 
 pub(crate) mod arena;
-pub(crate) mod calendar;
 pub mod engine;
 pub mod env;
 #[cfg(feature = "legacy-engine")]

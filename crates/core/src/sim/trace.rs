@@ -12,8 +12,6 @@ use std::fmt;
 /// The default is [`TraceMode::Off`]: long simulations would otherwise
 /// accumulate an unbounded `Vec<TraceEvent>` (one entry per release, start,
 /// ruling, completion, …), which dominates memory on soak-scale runs.
-/// [`TraceMode::Ring`] bounds the cost while keeping the most recent events
-/// for post-mortem debugging of a failure at the end of a long run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum TraceMode {
     /// Record nothing (the default). The outcome's trace is empty and the
@@ -24,16 +22,12 @@ pub enum TraceMode {
     /// required by oracles that replay the full lifecycle (e.g. the
     /// masked-lengths check).
     Full,
-    /// Keep only the most recent `n` events, overwriting the oldest once
-    /// full. The outcome's trace is still chronological. `Ring(0)` records
-    /// nothing, like [`TraceMode::Off`].
-    Ring(usize),
 }
 
 impl TraceMode {
     /// Whether this mode records any events at all.
     pub fn is_enabled(&self) -> bool {
-        !matches!(self, TraceMode::Off | TraceMode::Ring(0))
+        *self == TraceMode::Full
     }
 }
 
@@ -145,11 +139,6 @@ mod tests {
         assert_eq!(TraceMode::default(), TraceMode::Off);
         assert!(!TraceMode::Off.is_enabled());
         assert!(TraceMode::Full.is_enabled());
-        assert!(TraceMode::Ring(4).is_enabled());
-        assert!(
-            !TraceMode::Ring(0).is_enabled(),
-            "zero-capacity ring records nothing"
-        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Differential engine-equivalence suite.
 //!
-//! Replays identical workloads through the arena/calendar-queue engine
+//! Replays identical workloads through the arena/event-heap engine
 //! (`fjs_core::sim::run_with_config`) and the pre-rewrite reference core
 //! (`fjs_core::sim::legacy`, compiled via the `legacy-engine` feature), and
 //! asserts the outcomes are bit-identical: decision logs (rendered traces),
@@ -21,7 +21,8 @@ use fjs_core::faults::ChaosScheduler;
 use fjs_core::job::{Instance, JobId};
 use fjs_core::sim::legacy::run_with_config_legacy;
 use fjs_core::sim::{
-    render_trace, run_with_config, RunStats, SimConfig, SimOutcome, StaticEnv, TraceMode,
+    render_trace, run_with_config, RunStats, SimConfig, SimOutcome, StaticEnv, Termination,
+    TraceMode,
 };
 use fjs_prng::check::case_seed;
 use fjs_testkit::{all_targets, load_dir, Target};
@@ -36,11 +37,15 @@ fn config() -> SimConfig {
 }
 
 fn run_new_target(target: Target, inst: &Instance) -> SimOutcome {
+    run_new_target_with(target, inst, config())
+}
+
+fn run_new_target_with(target: Target, inst: &Instance, cfg: SimConfig) -> SimOutcome {
     let env = StaticEnv::new(inst, target.information_model());
     match target {
-        Target::Kind(kind) => run_with_config(env, kind.build(), config()),
+        Target::Kind(kind) => run_with_config(env, kind.build(), cfg),
         Target::Chaos { inner, mode } => {
-            run_with_config(env, ChaosScheduler::new(inner.build(), mode), config())
+            run_with_config(env, ChaosScheduler::new(inner.build(), mode), cfg)
         }
     }
 }
@@ -250,10 +255,11 @@ fn equivalence_covers_every_registered_kind() {
     }
 }
 
-/// The engine parks its allocations (arena world, calendar ring, scratch
+/// The engine parks its allocations (arena world, event heap, scratch
 /// buffers) in a thread-local pool between runs. A recycled run must be
 /// bit-identical to a fresh-thread run — including after a much larger run
-/// has grown the pooled ring and arena in between, and across different
+/// has grown the pooled heap and arena in between, after an event-capped
+/// run has parked a heap that still holds events, and across different
 /// schedulers and information models sharing one thread.
 #[test]
 fn recycled_scratch_matches_fresh_thread_runs() {
@@ -281,13 +287,23 @@ fn recycled_scratch_matches_fresh_thread_runs() {
         .expect("fresh-thread run");
 
         // Same thread, pool warmed — first by the small run itself, then by
-        // a big run that grows the pooled arena and calendar ring.
+        // a big run that grows the pooled arena and event heap, then by a
+        // capped run of the big instance that stops with events queued.
         let warmed = std::thread::spawn({
             let (small, big) = (small.clone(), big.clone());
             move || {
                 let first = run_new_target(target, &small);
                 let grown = run_new_target(target, &big);
                 assert!(grown.termination.is_completed());
+                let capped_cfg = SimConfig {
+                    max_events: 50,
+                    ..config()
+                };
+                let capped = run_new_target_with(target, &big, capped_cfg);
+                assert_eq!(
+                    capped.termination,
+                    Termination::EventCapExhausted { events: 50 }
+                );
                 let second = run_new_target(target, &small);
                 (first, second)
             }

@@ -385,7 +385,7 @@ fn bench_json_honours_schema_v1_and_self_diff_is_clean() {
 // ---------------------------------------------------------------------------
 // Arena/queue memory gate: the 10k batch run must not grow its footprint
 // past the structural bounds — every job resident exactly once (batch runs
-// never recycle slots) and the calendar queue holding at most one
+// never recycle slots) and the event heap holding at most one
 // completion, alarm, and ordered-start per live job plus slack for probes
 // and wakeups.
 // ---------------------------------------------------------------------------
