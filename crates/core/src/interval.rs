@@ -300,8 +300,9 @@ impl FromIterator<Interval> for IntervalSet {
 ///
 /// Endpoints are the same `f64` values the interval set would compute
 /// (`max` over identical completions, `min` = first chronological start), so
-/// the result is bit-identical to the legacy measurement — the engine
-/// equivalence suite pins this, and `prop_running_span_matches_measure`
+/// the result is bit-identical to [`IntervalSet::measure`] of the
+/// schedule's busy intervals. The engine equivalence suite checks that on
+/// every completed run it pins, and `prop_running_span_matches_measure`
 /// checks it against seeded open/close streams.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RunningSpan {

@@ -41,7 +41,7 @@ pub use governor::{
     tenant_of, BreakerConfig, OpenDecision, TenantBreakers, TenantQuotas, TenantShedCause,
 };
 pub use pool::{
-    stable_shard, PoolReply, PoolRequest, SessionFactory, SessionPool, SessionSnapshot, Waker,
-    WorkerReport,
+    fnv1a, stable_shard, PoolReply, PoolRequest, SessionFactory, SessionPool, SessionSnapshot,
+    Waker, WorkerReport,
 };
 pub use session::{Decision, DecisionKind, JobOffer, Session, SessionError};

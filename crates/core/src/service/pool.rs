@@ -102,7 +102,18 @@ use crate::time::Dur;
 /// applies the `open`. The callable must be shareable across workers.
 pub type SessionFactory = Arc<dyn Fn(&str) -> Result<Session, String> + Send + Sync>;
 
-/// Stable session-id shard assignment: FNV-1a over the id's bytes, mod
+/// FNV-1a over 64 bits: the shard hash of [`stable_shard`] and the
+/// digest of the golden-output tests.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// Stable session-id shard assignment: [`fnv1a`] over the id's bytes, mod
 /// the worker count. Pure, platform-independent, and fixed for the life
 /// of the repo — reassigning sids across versions would silently break
 /// per-worker FIFO expectations in mixed-version tooling.
@@ -110,12 +121,7 @@ pub fn stable_shard(sid: &str, workers: usize) -> usize {
     if workers <= 1 {
         return 0;
     }
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in sid.as_bytes() {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (hash % workers as u64) as usize
+    (fnv1a(sid.as_bytes()) % workers as u64) as usize
 }
 
 /// A request routed to the worker owning the session.

@@ -376,7 +376,7 @@ impl SimOutcome {
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum EventKind {
+enum EventKind {
     Completion(JobId),
     // Releases are not queued; they are pulled from the environment and
     // slot in at priority `RELEASE_ORDER`.
@@ -387,7 +387,7 @@ pub(crate) enum EventKind {
 }
 
 impl EventKind {
-    pub(crate) fn order(&self) -> u8 {
+    fn order(&self) -> u8 {
         match self {
             EventKind::Completion(_) => 0,
             EventKind::OrderedStart(_) => 2,
@@ -399,14 +399,14 @@ impl EventKind {
 }
 
 /// Priority of a release pseudo-event at equal timestamps.
-pub(crate) const RELEASE_ORDER: u8 = 1;
+const RELEASE_ORDER: u8 = 1;
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) struct Event {
-    pub(crate) time: Time,
-    pub(crate) order: u8,
-    pub(crate) seq: u64,
-    pub(crate) kind: EventKind,
+struct Event {
+    time: Time,
+    order: u8,
+    seq: u64,
+    kind: EventKind,
 }
 
 impl Ord for Event {
@@ -729,7 +729,7 @@ impl<E: Environment, S: OnlineScheduler> Engine<E, S> {
 
     /// Processes every queued event that sorts strictly before `(time,
     /// order)`.
-    pub(crate) fn advance_before(&mut self, time: Time, order: u8) -> Result<(), Stop> {
+    fn advance_before(&mut self, time: Time, order: u8) -> Result<(), Stop> {
         while self.step_before(Some((time, order)))? {}
         Ok(())
     }

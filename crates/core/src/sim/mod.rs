@@ -8,8 +8,6 @@
 pub(crate) mod arena;
 pub mod engine;
 pub mod env;
-#[cfg(feature = "legacy-engine")]
-pub mod legacy;
 pub mod sched;
 pub mod stats;
 pub mod trace;

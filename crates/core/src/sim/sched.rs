@@ -61,7 +61,7 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Like [`Ctx::new`], but reusing a caller-owned action buffer so the
+    /// Like `Ctx::new`, but reusing a caller-owned action buffer so the
     /// engine's dispatch loop allocates once per run instead of once per
     /// callback. The buffer must be empty.
     pub(crate) fn with_scratch(world: &'a World, scratch: Vec<Action>) -> Self {

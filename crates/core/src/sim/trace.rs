@@ -24,13 +24,6 @@ pub enum TraceMode {
     Full,
 }
 
-impl TraceMode {
-    /// Whether this mode records any events at all.
-    pub fn is_enabled(&self) -> bool {
-        *self == TraceMode::Full
-    }
-}
-
 /// One recorded simulation event.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct TraceEvent {
@@ -137,8 +130,6 @@ mod tests {
     #[test]
     fn trace_mode_enablement() {
         assert_eq!(TraceMode::default(), TraceMode::Off);
-        assert!(!TraceMode::Off.is_enabled());
-        assert!(TraceMode::Full.is_enabled());
     }
 
     #[test]

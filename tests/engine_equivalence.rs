@@ -1,32 +1,50 @@
-//! Differential engine-equivalence suite.
+//! Frozen engine outputs. `tests/golden/engine.txt` holds one line per
+//! cell, `<cell> decisions=<digest> counters=<digest>`, each an FNV-1a-64
+//! digest ([`fnv1a`]) of one run of `fjs_core::sim::run_with_config`:
 //!
-//! Replays identical workloads through the arena/event-heap engine
-//! (`fjs_core::sim::run_with_config`) and the pre-rewrite reference core
-//! (`fjs_core::sim::legacy`, compiled via the `legacy-engine` feature), and
-//! asserts the outcomes are bit-identical: decision logs (rendered traces),
-//! schedules and spans compared through `f64::to_bits`, and every
-//! `RunStats` counter (wall clocks zeroed — they are the only fields
-//! allowed to differ).
+//! - `decisions`: the rendered decision log (`TraceMode::Full`), the span,
+//!   every job's arrival, deadline, length and start, the violations, the
+//!   rejected actions, the termination and the unresolved jobs;
+//! - `counters`: `events_processed` and every `RunStats` counter (the
+//!   three wall clocks are measurements and enter as zero).
 //!
-//! Coverage: the full scheduler registry over the seeded μ×slack×load
-//! family grid, the committed `tests/corpus/` counterexamples (chaos
-//! targets exercising violation/force-start paths), the Theorem 3.3
-//! adaptive adversary (LengthProbe / deferred-ruling paths), the Fibonacci
-//! clairvoyant adversary, and event-cap-truncated partial runs.
+//! Every `f64` enters as its bits or through `{:?}`, never at a fixed
+//! precision. The table pins the `(time, kind-order, seq)` event contract
+//! on the full scheduler registry over the seeded μ×slack×load family
+//! grid, the committed `tests/corpus/` counterexamples (chaos targets
+//! exercising violation/force-start paths), the Theorem 3.3 adaptive
+//! adversary (LengthProbe / deferred-ruling paths), the Fibonacci
+//! clairvoyant adversary, and event-cap-truncated partial runs; one test
+//! checks the whole table and one each of those five paths' rows. A
+//! mismatch names each changed, missing and added cell with its old and
+//! new digests, then prints the whole actual table. Each completed run's
+//! incremental span must also equal the bits of the schedule's
+//! busy-interval union, measured independently of the engine.
+//!
+//! The table is the reference: a change that moves a digest must explain
+//! why, and replaces the file with the printed table. Beside it,
+//! [`recycled_scratch_matches_fresh_thread_runs`] compares the engine with
+//! itself across its thread-local scratch pool, on the same text the
+//! digests hash.
 
 use fjs::adversary::{CvAdversary, NcAdversary, NcAdversaryParams};
 use fjs::schedulers::SchedulerKind;
 use fjs::workloads::{IntFamily, LoadRegime, SlackRegime};
 use fjs_core::faults::ChaosScheduler;
 use fjs_core::job::{Instance, JobId};
-use fjs_core::sim::legacy::run_with_config_legacy;
+use fjs_core::service::fnv1a;
 use fjs_core::sim::{
     render_trace, run_with_config, RunStats, SimConfig, SimOutcome, StaticEnv, Termination,
     TraceMode,
 };
 use fjs_prng::check::case_seed;
 use fjs_testkit::{all_targets, load_dir, Target};
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::Path;
+use std::sync::OnceLock;
+
+const FIXTURE: &str = include_str!("golden/engine.txt");
 
 fn config() -> SimConfig {
     SimConfig {
@@ -36,26 +54,16 @@ fn config() -> SimConfig {
     }
 }
 
-fn run_new_target(target: Target, inst: &Instance) -> SimOutcome {
-    run_new_target_with(target, inst, config())
+fn run_target(target: Target, inst: &Instance) -> SimOutcome {
+    run_target_with(target, inst, config())
 }
 
-fn run_new_target_with(target: Target, inst: &Instance, cfg: SimConfig) -> SimOutcome {
+fn run_target_with(target: Target, inst: &Instance, cfg: SimConfig) -> SimOutcome {
     let env = StaticEnv::new(inst, target.information_model());
     match target {
         Target::Kind(kind) => run_with_config(env, kind.build(), cfg),
         Target::Chaos { inner, mode } => {
             run_with_config(env, ChaosScheduler::new(inner.build(), mode), cfg)
-        }
-    }
-}
-
-fn run_old_target(target: Target, inst: &Instance) -> SimOutcome {
-    let env = StaticEnv::new(inst, target.information_model());
-    match target {
-        Target::Kind(kind) => run_with_config_legacy(env, kind.build(), config()),
-        Target::Chaos { inner, mode } => {
-            run_with_config_legacy(env, ChaosScheduler::new(inner.build(), mode), config())
         }
     }
 }
@@ -68,69 +76,12 @@ fn zero_walls(mut s: RunStats) -> RunStats {
     s
 }
 
-fn assert_equivalent(label: &str, new: &SimOutcome, old: &SimOutcome) {
-    // Decision log: the rendered trace is the byte-identical contract.
-    assert_eq!(
-        render_trace(&new.trace),
-        render_trace(&old.trace),
-        "{label}: decision logs diverge"
-    );
-    // Span and every schedule start, compared at the bit level.
-    assert_eq!(
-        new.span.get().to_bits(),
-        old.span.get().to_bits(),
-        "{label}: span {} vs {}",
-        new.span,
-        old.span
-    );
-    assert_eq!(new.instance.len(), old.instance.len(), "{label}: job count");
-    for i in 0..new.instance.len() {
-        let id = JobId(i as u32);
-        let (a, b) = (new.instance.job(id), old.instance.job(id));
-        assert_eq!(
-            a.arrival().get().to_bits(),
-            b.arrival().get().to_bits(),
-            "{label}: arrival of {id}"
-        );
-        assert_eq!(
-            a.deadline().get().to_bits(),
-            b.deadline().get().to_bits(),
-            "{label}: deadline of {id}"
-        );
-        assert_eq!(
-            a.length().get().to_bits(),
-            b.length().get().to_bits(),
-            "{label}: length of {id}"
-        );
-        assert_eq!(
-            new.schedule.start(id).map(|t| t.get().to_bits()),
-            old.schedule.start(id).map(|t| t.get().to_bits()),
-            "{label}: start of {id}"
-        );
-    }
-    assert_eq!(new.violations, old.violations, "{label}: violations");
-    assert_eq!(
-        new.rejected_actions, old.rejected_actions,
-        "{label}: rejected actions"
-    );
-    assert_eq!(new.termination, old.termination, "{label}: termination");
-    assert_eq!(new.unresolved, old.unresolved, "{label}: unresolved jobs");
-    assert_eq!(
-        new.events_processed, old.events_processed,
-        "{label}: events processed"
-    );
-    assert_eq!(
-        zero_walls(new.stats),
-        zero_walls(old.stats),
-        "{label}: RunStats counters"
-    );
-}
+/// Every cell of the table with its outcome, in fixture order.
+fn cells() -> Vec<(String, SimOutcome)> {
+    let mut cells = Vec::new();
 
-/// The full registry over the seeded μ×slack×load family grid: every
-/// registered scheduler, every family, several seeds each.
-#[test]
-fn registry_matches_legacy_on_family_grid() {
-    let mut cases = 0usize;
+    // The full registry over the seeded μ×slack×load family grid.
+    let mut case = 0usize;
     for target in all_targets() {
         for &mu in &[1u64, 2, 4] {
             for &slack in &[
@@ -147,27 +98,18 @@ fn registry_matches_legacy_on_family_grid() {
                         load,
                     };
                     for rep in 0..2 {
-                        let inst = fam.generate(case_seed(0xe901, cases));
-                        let label = format!("{} / {} rep {rep}", target.name(), fam.label());
-                        let new = run_new_target(target, &inst);
-                        let old = run_old_target(target, &inst);
-                        assert_equivalent(&label, &new, &old);
-                        cases += 1;
+                        let inst = fam.generate(case_seed(0xe901, case));
+                        let cell = format!("grid/{}/{}/rep{rep}", target.name(), fam.label());
+                        cells.push((cell, run_target(target, &inst)));
+                        case += 1;
                     }
                 }
             }
         }
     }
-    assert!(
-        cases >= 700,
-        "grid covers the whole registry ({cases} runs checked)"
-    );
-}
 
-/// Every committed counterexample replays identically on both cores —
-/// chaos targets drive the violation, rejection and force-start paths.
-#[test]
-fn corpus_counterexamples_match_legacy() {
+    // Every committed counterexample: chaos targets drive the violation,
+    // rejection and force-start paths.
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
     let entries = load_dir(&dir).expect("corpus must load");
     assert!(
@@ -177,48 +119,40 @@ fn corpus_counterexamples_match_legacy() {
     for (path, entry) in &entries {
         let target = Target::from_name(&entry.target)
             .unwrap_or_else(|| panic!("{}: unknown target {}", path.display(), entry.target));
-        let new = run_new_target(target, &entry.instance);
-        let old = run_old_target(target, &entry.instance);
-        assert_equivalent(&format!("corpus {}", path.display()), &new, &old);
+        let name = path.file_name().expect("corpus file").to_string_lossy();
+        cells.push((
+            format!("corpus/{name}"),
+            run_target(target, &entry.instance),
+        ));
     }
-}
 
-/// The Theorem 3.3 adaptive adversary rules lengths *after* starts via
-/// deferred probes — the one path static instances never reach.
-#[test]
-fn adaptive_adversary_matches_legacy() {
+    // The Theorem 3.3 adaptive adversary rules lengths *after* starts via
+    // deferred probes, the one path static instances never reach.
     for &mu in &[2.0, 4.0] {
         for &n in &[4usize, 9] {
             for kind in SchedulerKind::non_clairvoyant_set() {
-                let params = || NcAdversaryParams::uniform(mu, 2, n);
-                let label = format!("nc-adversary μ={mu} n={n} vs {}", kind.label());
-                let new = run_with_config(NcAdversary::new(params()), kind.build(), config());
-                let old =
-                    run_with_config_legacy(NcAdversary::new(params()), kind.build(), config());
-                assert_equivalent(&label, &new, &old);
+                let env = NcAdversary::new(NcAdversaryParams::uniform(mu, 2, n));
+                cells.push((
+                    format!("nc-adversary/mu={mu}/n={n}/{}", kind.short_name()),
+                    run_with_config(env, kind.build(), config()),
+                ));
             }
         }
     }
-}
 
-/// The clairvoyant lower-bound adversary releases jobs reactively based on
-/// observed world state; both cores must show it the same world.
-#[test]
-fn clairvoyant_adversary_matches_legacy() {
+    // The clairvoyant lower-bound adversary releases jobs reactively
+    // based on the world state it observes.
     for &n in &[3usize, 5, 8] {
         for kind in SchedulerKind::clairvoyant_set() {
-            let label = format!("cv-adversary n={n} vs {}", kind.label());
-            let new = run_with_config(CvAdversary::new(n), kind.build(), config());
-            let old = run_with_config_legacy(CvAdversary::new(n), kind.build(), config());
-            assert_equivalent(&label, &new, &old);
+            cells.push((
+                format!("cv-adversary/n={n}/{}", kind.short_name()),
+                run_with_config(CvAdversary::new(n), kind.build(), config()),
+            ));
         }
     }
-}
 
-/// Event-cap-truncated runs produce identical *partial* outcomes:
-/// termination, unresolved lists and placeholder instances all match.
-#[test]
-fn event_cap_partial_outcomes_match_legacy() {
+    // Event-cap-truncated runs: termination, unresolved lists and
+    // placeholder instances of *partial* outcomes.
     let fam = IntFamily {
         n: 12,
         mu: 4,
@@ -229,29 +163,175 @@ fn event_cap_partial_outcomes_match_legacy() {
     for cap in [1usize, 3, 7, 15, 30] {
         let cfg = SimConfig {
             max_events: cap,
-            trace: TraceMode::Full,
-            ..SimConfig::default()
+            ..config()
         };
         let kind = SchedulerKind::Batch;
-        let env = || StaticEnv::new(&inst, kind.information_model());
-        let new = run_with_config(env(), kind.build(), cfg);
-        let old = run_with_config_legacy(env(), kind.build(), cfg);
-        assert_equivalent(&format!("event-cap {cap}"), &new, &old);
+        let env = StaticEnv::new(&inst, kind.information_model());
+        cells.push((
+            format!("event-cap/{cap}/{}", kind.short_name()),
+            run_with_config(env, kind.build(), cfg),
+        ));
     }
+    cells
 }
 
-/// The clairvoyance models must agree per-target with the model the legacy
-/// run used (guards the registry plumbing the suite relies on).
+/// What a cell's two digests cover, as text: the decisions, then the
+/// counters.
+fn render(out: &SimOutcome) -> (String, String) {
+    let mut decisions = render_trace(&out.trace);
+    let d = &mut decisions;
+    writeln!(d, "span {:016x}", out.span.get().to_bits()).unwrap();
+    for i in 0..out.instance.len() {
+        let id = JobId(i as u32);
+        let job = out.instance.job(id);
+        writeln!(
+            d,
+            "{id} {:016x} {:016x} {:016x} {:?}",
+            job.arrival().get().to_bits(),
+            job.deadline().get().to_bits(),
+            job.length().get().to_bits(),
+            out.schedule.start(id).map(|t| t.get().to_bits())
+        )
+        .unwrap();
+    }
+    writeln!(d, "violations {:?}", out.violations).unwrap();
+    writeln!(d, "rejected {:?}", out.rejected_actions).unwrap();
+    writeln!(d, "termination {:?}", out.termination).unwrap();
+    writeln!(d, "unresolved {:?}", out.unresolved).unwrap();
+    // `{:?}` of the whole struct names every counter, a new one included.
+    let counters = format!(
+        "events_processed={} {:?}",
+        out.events_processed,
+        zero_walls(out.stats)
+    );
+    (decisions, counters)
+}
+
+/// Splits a table into `cell -> "decisions=… counters=…"`, keeping order.
+fn parse(table: &str) -> Vec<(&str, &str)> {
+    table
+        .lines()
+        .map(|line| line.split_once(' ').unwrap_or((line, "")))
+        .collect()
+}
+
+/// The actual digest table, one line per cell in fixture order. It is
+/// computed once and shared by every test that compares rows.
+fn table() -> &'static str {
+    static TABLE: OnceLock<String> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut table = String::new();
+        for (cell, out) in cells() {
+            if out.termination.is_completed() {
+                assert_eq!(
+                    out.span.get().to_bits(),
+                    out.schedule.span(&out.instance).get().to_bits(),
+                    "{cell}: running span {} vs the schedule's union {}",
+                    out.span,
+                    out.schedule.span(&out.instance)
+                );
+            }
+            let (decisions, counters) = render(&out);
+            writeln!(
+                table,
+                "{cell} decisions={:016x} counters={:016x}",
+                fnv1a(decisions.as_bytes()),
+                fnv1a(counters.as_bytes())
+            )
+            .unwrap();
+        }
+        table
+    })
+}
+
+/// Compares the rows whose cell starts with `prefix` (every row for `""`)
+/// with the fixture's. A mismatch lists each changed, missing and added
+/// cell with its old and new digests, then prints the whole actual table.
+fn assert_rows_match(prefix: &str) {
+    let table = table();
+    let rows = |t| -> Vec<_> {
+        let mut rows = parse(t);
+        rows.retain(|(cell, _)| cell.starts_with(prefix));
+        rows
+    };
+    let (old, new) = (rows(FIXTURE), rows(table));
+    assert!(!new.is_empty(), "no cell starts with {prefix:?}");
+    if old == new {
+        return;
+    }
+
+    let (old_map, new_map): (BTreeMap<_, _>, BTreeMap<_, _>) =
+        (old.iter().copied().collect(), new.iter().copied().collect());
+    let mut report = String::new();
+    for &(cell, digests) in &old {
+        match new_map.get(cell) {
+            Some(&now) if now != digests => {
+                writeln!(report, "changed {cell}: {digests} -> {now}").unwrap()
+            }
+            Some(_) => {}
+            None => writeln!(report, "missing {cell}: {digests}").unwrap(),
+        }
+    }
+    for &(cell, digests) in &new {
+        if !old_map.contains_key(cell) {
+            writeln!(report, "added {cell}: {digests}").unwrap();
+        }
+    }
+    panic!(
+        "engine outputs differ from tests/golden/engine.txt:\n{report}\
+         actual table:\n{table}"
+    );
+}
+
+/// The whole table, row order included: the test whose printed table
+/// replaces the fixture after an explained change.
+#[test]
+fn engine_outputs_match_the_frozen_reference() {
+    assert_rows_match("");
+}
+
+// One test per path the fixture pins, so a failure names the path. The
+// rows were frozen from an engine that matched the legacy reference
+// engine on every one of these cells, before that engine was deleted.
+
+#[test]
+fn registry_matches_legacy_on_family_grid() {
+    assert_rows_match("grid/");
+}
+
+#[test]
+fn corpus_counterexamples_match_legacy() {
+    assert_rows_match("corpus/");
+}
+
+#[test]
+fn adaptive_adversary_matches_legacy() {
+    assert_rows_match("nc-adversary/");
+}
+
+#[test]
+fn clairvoyant_adversary_matches_legacy() {
+    assert_rows_match("cv-adversary/");
+}
+
+#[test]
+fn event_cap_partial_outcomes_match_legacy() {
+    assert_rows_match("event-cap/");
+}
+
+/// The fixture must pin every registered scheduler on the whole family
+/// grid: 3 μ × 4 slack × 3 load × 2 reps.
 #[test]
 fn equivalence_covers_every_registered_kind() {
-    let targets = all_targets();
-    assert_eq!(
-        targets.len(),
-        SchedulerKind::registered_set().len(),
-        "suite must cover the full registry"
-    );
-    for t in &targets {
-        assert!(!t.is_chaos(), "registry targets are the real schedulers");
+    for target in all_targets() {
+        let prefix = format!("grid/{}/", target.name());
+        let rows = FIXTURE.lines().filter(|l| l.starts_with(&prefix)).count();
+        assert_eq!(
+            rows,
+            72,
+            "tests/golden/engine.txt has {rows} grid rows for {}",
+            target.name()
+        );
     }
 }
 
@@ -281,7 +361,7 @@ fn recycled_scratch_matches_fresh_thread_runs() {
         // Fresh thread: the very first run finds an empty pool.
         let fresh = std::thread::spawn({
             let small = small.clone();
-            move || run_new_target(target, &small)
+            move || run_target(target, &small)
         })
         .join()
         .expect("fresh-thread run");
@@ -292,19 +372,19 @@ fn recycled_scratch_matches_fresh_thread_runs() {
         let warmed = std::thread::spawn({
             let (small, big) = (small.clone(), big.clone());
             move || {
-                let first = run_new_target(target, &small);
-                let grown = run_new_target(target, &big);
+                let first = run_target(target, &small);
+                let grown = run_target(target, &big);
                 assert!(grown.termination.is_completed());
                 let capped_cfg = SimConfig {
                     max_events: 50,
                     ..config()
                 };
-                let capped = run_new_target_with(target, &big, capped_cfg);
+                let capped = run_target_with(target, &big, capped_cfg);
                 assert_eq!(
                     capped.termination,
                     Termination::EventCapExhausted { events: 50 }
                 );
-                let second = run_new_target(target, &small);
+                let second = run_target(target, &small);
                 (first, second)
             }
         })
@@ -312,7 +392,7 @@ fn recycled_scratch_matches_fresh_thread_runs() {
         .expect("warmed-thread runs");
 
         let label = format!("{target:?} (recycled vs fresh)");
-        assert_equivalent(&label, &warmed.0, &fresh);
-        assert_equivalent(&label, &warmed.1, &fresh);
+        assert_eq!(render(&warmed.0), render(&fresh), "{label}");
+        assert_eq!(render(&warmed.1), render(&fresh), "{label}");
     }
 }

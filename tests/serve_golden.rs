@@ -7,21 +7,11 @@
 
 use fjs_cli::loadgen::{emit_script, LoadgenOptions};
 use fjs_cli::serve::{run_script, run_script_pooled, ScriptOutcome, ServeOptions, Server, Sink};
-use fjs_core::service::{BreakerConfig, ServeJournal, TenantQuotas};
+use fjs_core::service::{fnv1a, BreakerConfig, ServeJournal, TenantQuotas};
 use fjs_core::supervise::with_quiet_panics;
 use fjs_workloads::Quarantine;
 
 const FIXTURE: &str = include_str!("golden/serve.txt");
-
-/// FNV-1a over 64 bits.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 fn loadgen(sessions: usize, jobs: usize, seed: u64, scheduler: &str, prefix: &str) -> String {
     emit_script(&LoadgenOptions {
