@@ -32,8 +32,40 @@
 //! usage error.
 
 use fjs_cli::experiments::{all, by_id, Experiment, Profile};
-use std::io::Write as _;
+use std::io::{ErrorKind, Write as _};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
+
+/// Set once a write to stdout has failed; later output is dropped.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes command output to stdout, like `print!`, through
+/// [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+
+/// [`out!`] with a trailing newline, like `println!`.
+macro_rules! outln {
+    ($($arg:tt)*) => { write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// Writes to the locked, line-buffered stdout. Once stdout's reader has
+/// gone away (`fjs … | head`), the rest of the output is dropped instead
+/// of panicking as `println!` does, so the command still writes its files
+/// and exits with its own status. Any other write error is reported once,
+/// and output stops there too.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+        if e.kind() != ErrorKind::BrokenPipe {
+            eprintln!("fjs: cannot write to stdout: {e}");
+        }
+    }
+}
 
 /// The single error path: every subcommand reports failures as one of
 /// these, and only `main` turns them into exit codes.
@@ -101,11 +133,11 @@ fn cmd_gantt(args: &[String]) -> Result<(), CliError> {
     let inst = fjs_workloads::Scenario::BurstyAnalytics.generate(24, seed);
     let out = kind.run_on(&inst);
     let metrics = fjs_core::metrics::schedule_metrics(&out.instance, &out.schedule);
-    println!(
+    outln!(
         "{} on bursty-analytics (24 jobs, seed {seed}):\n",
         kind.label()
     );
-    println!(
+    outln!(
         "{}",
         fjs_analysis::render_gantt(
             &out.instance,
@@ -113,7 +145,7 @@ fn cmd_gantt(args: &[String]) -> Result<(), CliError> {
             fjs_analysis::GanttOptions::default()
         )
     );
-    println!(
+    outln!(
         "span = {:.2}  peak concurrency = {}  mean concurrency = {:.2}  laxity used = {:.0}%",
         metrics.span.get(),
         metrics.peak_concurrency,
@@ -161,7 +193,7 @@ fn cmd_audit(args: &[String]) -> Result<(), CliError> {
     };
     match verdict {
         Ok((span, flags)) => {
-            println!(
+            outln!(
                 "audit PASSED: {which} on cloud-batch (300 jobs, seed {seed}) — \
                  span {span}, {flags} flag jobs, every start justified by the paper's rules"
             );
@@ -182,7 +214,7 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
     let inst = trace.instance;
     let lb = fjs_opt::best_lower_bound(&inst).get();
     let stats = fjs_workloads::workload_stats(&inst);
-    println!(
+    outln!(
         "{path}: {} jobs, μ = {:.2}, mean laxity/length = {:.2}, {:.0}% rigid, \
          load = {:.2}, OPT span ≥ {lb:.3}\n",
         stats.n,
@@ -205,7 +237,7 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
             format!("{}", m.peak_concurrency),
         ]);
     }
-    println!("{}", table.render());
+    outln!("{}", table.render());
     Ok(())
 }
 
@@ -230,7 +262,7 @@ fn cmd_chaos(args: &[String]) -> Result<(), CliError> {
 
     let env_total = fjs_core::faults::EnvFaultMode::ALL.len();
     let sched_total = fjs_core::faults::SchedFaultMode::ALL.len();
-    println!(
+    outln!(
         "fault-injection matrix: {} scheduler(s) × ({env_total} environment + \
          {sched_total} scheduler action) fault modes = {} cells\n",
         kinds.len(),
@@ -263,7 +295,7 @@ fn cmd_chaos(args: &[String]) -> Result<(), CliError> {
             (if clean { "pass" } else { "FAIL" }).to_string(),
         ]);
     }
-    println!("{}", table.render());
+    outln!("{}", table.render());
 
     // The ingestion side of the chaos matrix: every IO fault mode against
     // every TraceReader quarantine policy.
@@ -280,12 +312,12 @@ fn cmd_chaos(args: &[String]) -> Result<(), CliError> {
             c.detail.clone(),
         ]);
     }
-    println!("{}", io_table.render());
+    outln!("{}", io_table.render());
 
     let failures = report.failures();
     let io_failures = io_cells.iter().filter(|c| !c.passed).count();
     if failures.is_empty() && io_failures == 0 {
-        println!(
+        outln!(
             "all cells pass: no panics, every run completed with a valid full schedule, \
              every malformed trace was quarantined per policy."
         );
@@ -308,7 +340,7 @@ fn cmd_chaos(args: &[String]) -> Result<(), CliError> {
                     msg,
                 ]);
             }
-            println!("{}", detail.render());
+            outln!("{}", detail.render());
         }
         Err(CliError::Runtime(format!(
             "chaos found {} failing cell(s) out of {}",
@@ -439,7 +471,7 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
             }
         }
     }
-    println!("{}", table.render());
+    outln!("{}", table.render());
     if let Some(path) = jsonl_path {
         use std::fs::OpenOptions;
         let mut f = OpenOptions::new()
@@ -449,7 +481,7 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
             .map_err(|e| CliError::Runtime(format!("cannot open {path}: {e}")))?;
         f.write_all(jsonl.as_bytes())
             .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
-        println!(
+        outln!(
             "appended {} JSONL record(s) to {path}",
             kinds.len() * Scenario::all().len()
         );
@@ -467,40 +499,36 @@ fn run_stats_jsonl_record(
     span: f64,
     s: &fjs_core::sim::RunStats,
 ) -> String {
-    use fjs_analysis::benchjson::{escape, fmt_f64};
-    format!(
-        "{{\"scheduler\": \"{}\", \"scenario\": \"{}\", \"n\": {n}, \"seed\": {seed}, \
-         \"span\": {}, \"release_events\": {}, \"jobs_released\": {}, \"completions\": {}, \
-         \"ordered_starts\": {}, \"length_probes\": {}, \"deadline_alarms\": {}, \
-         \"wakeups\": {}, \"events_total\": {}, \"peak_queue\": {}, \"actions_applied\": {}, \
-         \"actions_rejected\": {}, \"force_starts\": {}, \"jobs_completed\": {}, \
-         \"peak_retained\": {}, \"arena_slots\": {}, \
-         \"opt_cache_hits\": {}, \"opt_cache_misses\": {}, \
-         \"wall_total_s\": {}, \"wall_scheduler_s\": {}, \"wall_environment_s\": {}}}\n",
-        escape(scheduler),
-        escape(scenario),
-        fmt_f64(span),
-        s.release_events,
-        s.jobs_released,
-        s.completions,
-        s.ordered_starts,
-        s.length_probes,
-        s.deadline_alarms,
-        s.wakeups,
-        s.events_total,
-        s.peak_queue,
-        s.actions_applied,
-        s.actions_rejected,
-        s.force_starts,
-        s.jobs_completed,
-        s.peak_retained,
-        s.arena_slots,
-        s.opt_cache_hits,
-        s.opt_cache_misses,
-        fmt_f64(s.wall_total_s),
-        fmt_f64(s.wall_scheduler_s),
-        fmt_f64(s.wall_environment_s),
-    )
+    use fjs_core::json::{fmt_f64, Line};
+    let mut line = Line::new()
+        .str("scheduler", scheduler)
+        .str("scenario", scenario)
+        .num("n", n)
+        .num("seed", seed)
+        .num("span", fmt_f64(span))
+        .num("release_events", s.release_events)
+        .num("jobs_released", s.jobs_released)
+        .num("completions", s.completions)
+        .num("ordered_starts", s.ordered_starts)
+        .num("length_probes", s.length_probes)
+        .num("deadline_alarms", s.deadline_alarms)
+        .num("wakeups", s.wakeups)
+        .num("events_total", s.events_total)
+        .num("peak_queue", s.peak_queue)
+        .num("actions_applied", s.actions_applied)
+        .num("actions_rejected", s.actions_rejected)
+        .num("force_starts", s.force_starts)
+        .num("jobs_completed", s.jobs_completed)
+        .num("peak_retained", s.peak_retained)
+        .num("arena_slots", s.arena_slots)
+        .num("opt_cache_hits", s.opt_cache_hits)
+        .num("opt_cache_misses", s.opt_cache_misses)
+        .num("wall_total_s", fmt_f64(s.wall_total_s))
+        .num("wall_scheduler_s", fmt_f64(s.wall_scheduler_s))
+        .num("wall_environment_s", fmt_f64(s.wall_environment_s))
+        .finish();
+    line.push('\n');
+    line
 }
 
 /// Runs the in-process bench suite, prints the per-case report lines and
@@ -529,11 +557,11 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     }
     match json_path.as_deref() {
         None => {}
-        Some("-") => print!("{}", report.to_json()),
+        Some("-") => out!("{}", report.to_json()),
         Some(path) => {
             std::fs::write(path, report.to_json())
                 .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
-            println!("wrote {} case(s) to {path}", report.cases.len());
+            outln!("wrote {} case(s) to {path}", report.cases.len());
         }
     }
     Ok(())
@@ -575,7 +603,7 @@ fn cmd_bench_diff(args: &[String]) -> Result<(), CliError> {
     };
     let old = load(old_path)?;
     let new = load(new_path)?;
-    println!(
+    outln!(
         "old: {old_path} ({}, {} cases)\nnew: {new_path} ({}, {} cases)\n",
         old.git_describe,
         old.cases.len(),
@@ -605,9 +633,9 @@ fn cmd_bench_diff(args: &[String]) -> Result<(), CliError> {
             format!("{:+.1}%{flag}", d.relative_change() * 100.0),
         ]);
     }
-    println!("{}", table.render());
+    outln!("{}", table.render());
     for name in &diff.only_new {
-        println!("only in new: {name}");
+        outln!("only in new: {name}");
     }
     if diff.aligned.is_empty() {
         return Err(CliError::Runtime(
@@ -634,7 +662,7 @@ fn cmd_bench_diff(args: &[String]) -> Result<(), CliError> {
         ));
     }
     if failures.is_empty() {
-        println!(
+        outln!(
             "\nok: no case regressed by more than {:.0}% ({} compared)",
             threshold * 100.0,
             diff.aligned.len()
@@ -758,7 +786,7 @@ fn cmd_conform(args: &[String]) -> Result<(), CliError> {
             instance: f.shrunk.clone(),
         };
         match save_entry(&dir, &entry) {
-            Ok(path) => println!("counterexample written: {}", path.display()),
+            Ok(path) => outln!("counterexample written: {}", path.display()),
             Err(e) => eprintln!("warning: could not save counterexample: {e}"),
         }
     };
@@ -772,7 +800,7 @@ fn cmd_conform(args: &[String]) -> Result<(), CliError> {
         j.compact()
             .map_err(|e| CliError::Runtime(format!("journal: {e}")))?;
     }
-    println!(
+    outln!(
         "conformance: {} case(s) × {} target(s) = {} oracle checks \
          ({} mode, {} deck, base seed {base_seed})\n",
         report.cases,
@@ -782,7 +810,7 @@ fn cmd_conform(args: &[String]) -> Result<(), CliError> {
         deck.name(),
     );
     if report.skipped > 0 {
-        println!(
+        outln!(
             "resume: skipped {} already-journalled cell(s)\n",
             report.skipped
         );
@@ -802,10 +830,10 @@ fn cmd_conform(args: &[String]) -> Result<(), CliError> {
             },
         ]);
     }
-    println!("{}", table.render());
+    outln!("{}", table.render());
 
     if report.is_clean() {
-        println!(
+        outln!(
             "all conformance oracles hold across {} check(s).",
             report.checks
         );
@@ -830,7 +858,7 @@ fn cmd_conform(args: &[String]) -> Result<(), CliError> {
             f.detail.clone(),
         ]);
     }
-    println!("{}", detail.render());
+    outln!("{}", detail.render());
 
     Err(CliError::Runtime(format!(
         "conform: {} distinct oracle violation(s) across {} check(s)",
@@ -936,7 +964,7 @@ fn cmd_soak(args: &[String]) -> Result<(), CliError> {
         ..SoakOptions::new(targets, &journal)
     };
     let summary = run_soak(&opts).map_err(CliError::Runtime)?;
-    print!("{}", summary.report);
+    out!("{}", summary.report);
     eprintln!(
         "soak: ran {} cell(s), skipped {} already-journalled, journal {} now holds {}",
         summary.ran, summary.skipped, journal, summary.journal_cells
@@ -1219,7 +1247,7 @@ fn cmd_fuzz_serve(args: &[String]) -> Result<(), CliError> {
         )));
     }
     let report = run_fuzz_serve(&opts).map_err(CliError::Runtime)?;
-    println!("{report}");
+    outln!("{report}");
     if !report.healthy() {
         return Err(CliError::Runtime(
             "fuzz-serve: daemon unhealthy after chaos (see report above)".into(),
@@ -1299,7 +1327,7 @@ fn cmd_loadgen(args: &[String]) -> Result<(), CliError> {
     if let Some(path) = emit {
         let script = emit_script(&opts);
         if path == "-" {
-            print!("{script}");
+            out!("{script}");
         } else {
             std::fs::write(&path, &script)
                 .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
@@ -1339,12 +1367,12 @@ fn cmd_loadgen(args: &[String]) -> Result<(), CliError> {
         if let Some(mode) = misbehave {
             let line =
                 fjs_cli::fuzz::drive_misbehave(&target, &opts, mode).map_err(CliError::Runtime)?;
-            println!("{line}");
+            outln!("{line}");
             return Ok(());
         }
         let report =
             fjs_cli::loadgen::drive(&target, &opts, concurrency).map_err(CliError::Runtime)?;
-        println!("{report}");
+        outln!("{report}");
         if let Some(json_path) = json {
             let text = report.to_benchjson(&fjs_cli::bench::git_describe());
             std::fs::write(&json_path, text)
@@ -1389,7 +1417,7 @@ fn real_main(args: &[String]) -> Result<(), CliError> {
         "fuzz-serve" => cmd_fuzz_serve(&args[1..]),
         "list" => {
             for e in all() {
-                println!("{:4}  {}", e.id, e.title);
+                outln!("{:4}  {}", e.id, e.title);
             }
             Ok(())
         }
@@ -1429,7 +1457,7 @@ fn run_one(e: &Experiment, profile: Profile, csv_dir: Option<&str>) -> Result<()
     let start = Instant::now();
     let tables = (e.run)(profile);
     for (i, t) in tables.iter().enumerate() {
-        println!("{}", t.render());
+        outln!("{}", t.render());
         if let Some(dir) = csv_dir {
             std::fs::create_dir_all(dir)
                 .map_err(|e| CliError::Runtime(format!("cannot create {dir}: {e}")))?;

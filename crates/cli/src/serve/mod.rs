@@ -42,6 +42,7 @@ pub mod protocol;
 
 use std::io::{self, Write};
 
+use fjs_core::json::Line;
 use fjs_core::service::{BreakerConfig, Session, TenantQuotas};
 use fjs_core::supervise::{PoisonMode, PoisonedScheduler, DEFAULT_WATCHDOG_EVENTS};
 use fjs_schedulers::SchedulerKind;
@@ -287,38 +288,32 @@ impl std::fmt::Display for ServeSummary {
 
 impl ServeSummary {
     /// One-line schema-v1 JSON rendering (the `--stats-jsonl` record),
-    /// flat and append-friendly like the bench/journal line grammars.
+    /// written through the journals' flat-line writer.
     pub fn to_jsonl(&self) -> String {
-        format!(
-            "{{\"v\":1,\"kind\":\"serve-summary\",\"lines\":{},\"requests\":{},\
-             \"jobs\":{},\"shed\":{},\"tenant_shed\":{},\"breaker_refused\":{},\
-             \"breaker_trips\":{},\"opened\":{},\"closed\":{},\
-             \"decision_lines\":{},\"quarantined\":{},\"peak_sessions\":{},\
-             \"peak_retained\":{},\"peak_live_segments\":{},\"connections\":{},\
-             \"disconnects\":{},\"oversize_disconnects\":{},\
-             \"slow_disconnects\":{},\"peak_writer_queue\":{},\
-             \"accept_retries\":{}}}",
-            self.lines,
-            self.requests,
-            self.jobs,
-            self.shed,
-            self.tenant_shed,
-            self.breaker_refused,
-            self.breaker_trips,
-            self.opened,
-            self.closed,
-            self.decision_lines,
-            self.quarantined,
-            self.peak_sessions,
-            self.peak_retained,
-            self.peak_live_segments,
-            self.connections,
-            self.disconnects,
-            self.oversize_disconnects,
-            self.slow_disconnects,
-            self.peak_writer_queue,
-            self.accept_retries,
-        )
+        Line::new()
+            .num("v", 1)
+            .str("kind", "serve-summary")
+            .num("lines", self.lines)
+            .num("requests", self.requests)
+            .num("jobs", self.jobs)
+            .num("shed", self.shed)
+            .num("tenant_shed", self.tenant_shed)
+            .num("breaker_refused", self.breaker_refused)
+            .num("breaker_trips", self.breaker_trips)
+            .num("opened", self.opened)
+            .num("closed", self.closed)
+            .num("decision_lines", self.decision_lines)
+            .num("quarantined", self.quarantined)
+            .num("peak_sessions", self.peak_sessions)
+            .num("peak_retained", self.peak_retained)
+            .num("peak_live_segments", self.peak_live_segments)
+            .num("connections", self.connections)
+            .num("disconnects", self.disconnects)
+            .num("oversize_disconnects", self.oversize_disconnects)
+            .num("slow_disconnects", self.slow_disconnects)
+            .num("peak_writer_queue", self.peak_writer_queue)
+            .num("accept_retries", self.accept_retries)
+            .finish()
     }
 }
 

@@ -23,7 +23,9 @@
 //!   and a crash-safe checkpoint journal ([`supervise`]);
 //! * a resident-service layer for `fjs serve` — isolated long-lived
 //!   scheduling sessions with O(pending) memory, incremental span
-//!   accounting and crash-safe checkpointing ([`service`]).
+//!   accounting and crash-safe checkpointing ([`service`]);
+//! * the one JSON codec every journal and machine-readable record goes
+//!   through ([`json`]).
 //!
 //! Schedulers themselves live in the `fjs-schedulers` crate; adversarial
 //! constructions in `fjs-adversary`; optimal baselines in `fjs-opt`.
@@ -37,6 +39,7 @@
 pub mod faults;
 pub mod interval;
 pub mod job;
+pub mod json;
 pub mod metrics;
 pub mod schedule;
 pub mod service;

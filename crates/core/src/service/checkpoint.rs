@@ -3,7 +3,8 @@
 //! A [`ServeJournal`] is the shared append-only log
 //! ([`crate::supervise::journal::AppendLog`]) of [`ServeEvent`]s: one
 //! self-contained record per protocol request that changed session state —
-//! `open`, `job`, `close`. Replaying those records through fresh
+//! `open`, `job`, `close` — as a flat JSON line written and read through
+//! [`crate::json`]. Replaying those records through fresh
 //! [`Session`](crate::service::Session)s reproduces the daemon's state
 //! bit-for-bit, because sessions are deterministic functions of their
 //! offer streams; the decision log of a killed-and-resumed daemon is
@@ -30,7 +31,8 @@
 //! bump. [`ServeEvent::payload_bytes`] is the replay-side hook for the
 //! byte accounting.
 
-use crate::supervise::journal::{escape, AppendLog, Fields, Record};
+use crate::json::{self, Line};
+use crate::supervise::journal::{AppendLog, Record};
 
 pub use crate::supervise::journal::DEFAULT_SYNC_EVERY;
 
@@ -127,47 +129,50 @@ impl ServeEvent {
 
 impl Record for ServeEvent {
     fn to_line(&self) -> String {
+        let head = |kind: &str, session: &str| {
+            Line::new()
+                .num("v", SERVE_JOURNAL_VERSION)
+                .str("kind", kind)
+                .str("session", session)
+        };
         match self {
             ServeEvent::Open {
                 session,
                 scheduler,
                 line,
-            } => format!(
-                "{{\"v\":{SERVE_JOURNAL_VERSION},\"kind\":\"open\",\"session\":\"{}\",\"scheduler\":\"{}\",\"line\":{line}}}",
-                escape(session),
-                escape(scheduler),
-            ),
+            } => head("open", session)
+                .str("scheduler", scheduler)
+                .num("line", line),
             ServeEvent::Job {
                 session,
                 line,
                 arrival,
                 deadline,
                 length,
-            } => format!(
-                "{{\"v\":{SERVE_JOURNAL_VERSION},\"kind\":\"job\",\"session\":\"{}\",\"line\":{line},\"arrival\":{arrival},\"deadline\":{deadline},\"length\":{length}}}",
-                escape(session),
-            ),
-            ServeEvent::Close { session, line } => format!(
-                "{{\"v\":{SERVE_JOURNAL_VERSION},\"kind\":\"close\",\"session\":\"{}\",\"line\":{line}}}",
-                escape(session),
-            ),
+            } => head("job", session)
+                .num("line", line)
+                .num("arrival", arrival)
+                .num("deadline", deadline)
+                .num("length", length),
+            ServeEvent::Close { session, line } => head("close", session).num("line", line),
         }
+        .finish()
     }
 
     fn parse_line(text: &str) -> Result<ServeEvent, String> {
-        let fields = Fields::parse(text, SERVE_JOURNAL_VERSION)?;
-        let session = fields.get("session")?.to_string();
-        let line = fields.num("line")?;
+        let record = json::parse_record(text, SERVE_JOURNAL_VERSION)?;
+        let session = record.str("session")?.to_string();
+        let line = record.num("line")?;
         let num = |key: &str| -> Result<f64, String> {
-            let v: f64 = fields.num(key)?;
+            let v: f64 = record.num(key)?;
             if !v.is_finite() {
                 return Err(format!("non-finite '{key}'"));
             }
             Ok(v)
         };
-        match fields.get("kind")? {
+        match record.str("kind")? {
             "open" => Ok(ServeEvent::Open {
-                scheduler: fields.get("scheduler")?.to_string(),
+                scheduler: record.str("scheduler")?.to_string(),
                 session,
                 line,
             }),

@@ -2,7 +2,8 @@
 //! the sweep checkpoint journal and for `fjs serve`'s journal
 //! ([`crate::service::ServeJournal`]).
 //!
-//! An [`AppendLog`] holds one self-contained [`Record`] per line.
+//! An [`AppendLog`] holds one self-contained [`Record`] per line: a flat
+//! JSON object, written and read through [`crate::json`].
 //!
 //! * **Durability.** [`AppendLog::append`] writes the record and its
 //!   newline in one `write` before it returns, so a killed *process* loses
@@ -39,13 +40,13 @@
 //! flight at once (one per shard at most), up to `shards − 1` more batches
 //! of `sync_every` records are at risk.
 
+use crate::json::{self, Line};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{ErrorKind, Write as _};
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
-use std::str::FromStr;
 
 /// The journal format version stamped on every sweep journal line.
 pub const JOURNAL_VERSION: u32 = 1;
@@ -100,31 +101,30 @@ pub struct CellResult {
 
 impl Record for CellResult {
     fn to_line(&self) -> String {
-        format!(
-            "{{\"v\":{},\"target\":\"{}\",\"family\":\"{}\",\"seed\":{},\"verdict\":\"{}\",\"span\":{},\"events\":{},\"retries\":{}}}",
-            JOURNAL_VERSION,
-            escape(&self.cell.target),
-            escape(&self.cell.family),
-            self.cell.seed,
-            escape(&self.verdict),
-            self.span,
-            self.events,
-            self.retries,
-        )
+        Line::new()
+            .num("v", JOURNAL_VERSION)
+            .str("target", &self.cell.target)
+            .str("family", &self.cell.family)
+            .num("seed", self.cell.seed)
+            .str("verdict", &self.verdict)
+            .num("span", self.span)
+            .num("events", self.events)
+            .num("retries", self.retries)
+            .finish()
     }
 
     fn parse_line(line: &str) -> Result<CellResult, String> {
-        let fields = Fields::parse(line, JOURNAL_VERSION)?;
+        let record = json::parse_record(line, JOURNAL_VERSION)?;
         Ok(CellResult {
             cell: Cell {
-                target: fields.get("target")?.to_string(),
-                family: fields.get("family")?.to_string(),
-                seed: fields.num("seed")?,
+                target: record.str("target")?.to_string(),
+                family: record.str("family")?.to_string(),
+                seed: record.num("seed")?,
             },
-            verdict: fields.get("verdict")?.to_string(),
-            span: fields.num("span")?,
-            events: fields.num("events")?,
-            retries: fields.num("retries")?,
+            verdict: record.str("verdict")?.to_string(),
+            span: record.num("span")?,
+            events: record.num("events")?,
+            retries: record.num("retries")?,
         })
     }
 }
@@ -441,142 +441,6 @@ impl Journal {
     }
 }
 
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn unescape(s: &str) -> Result<String, String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('"') => out.push('"'),
-            Some('\\') => out.push('\\'),
-            Some('n') => out.push('\n'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if hex.len() != 4 {
-                    return Err("truncated \\u escape".to_string());
-                }
-                let code =
-                    u32::from_str_radix(&hex, 16).map_err(|_| format!("bad \\u escape {hex}"))?;
-                match char::from_u32(code) {
-                    Some(c) => out.push(c),
-                    None => return Err(format!("bad \\u escape {hex}")),
-                }
-            }
-            other => {
-                return Err(format!(
-                    "bad escape \\{}",
-                    other.map_or_else(String::new, String::from)
-                ))
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// A minimal flat-object JSON scanner for journal lines: one `{...}` object
-/// of scalar fields. Strings may contain the escapes [`escape`] emits.
-fn parse_fields(line: &str) -> Result<Vec<(String, String)>, String> {
-    let inner = line
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| "not a JSON object".to_string())?;
-    let mut fields = Vec::new();
-    let mut rest = inner;
-    while !rest.is_empty() {
-        rest = rest.trim_start_matches([',', ' ']);
-        if rest.is_empty() {
-            break;
-        }
-        // Key: a quoted string with no escapes (our keys are plain).
-        let rest2 = rest
-            .strip_prefix('"')
-            .ok_or_else(|| "expected quoted key".to_string())?;
-        let key_end = rest2
-            .find('"')
-            .ok_or_else(|| "unterminated key".to_string())?;
-        let key = &rest2[..key_end];
-        let rest3 = rest2[key_end + 1..]
-            .trim_start()
-            .strip_prefix(':')
-            .ok_or_else(|| "expected ':'".to_string())?;
-        let rest3 = rest3.trim_start();
-        if let Some(val_rest) = rest3.strip_prefix('"') {
-            // String value: scan to the closing quote, honouring escapes.
-            let mut end = None;
-            let mut escaped = false;
-            for (i, c) in val_rest.char_indices() {
-                if escaped {
-                    escaped = false;
-                } else if c == '\\' {
-                    escaped = true;
-                } else if c == '"' {
-                    end = Some(i);
-                    break;
-                }
-            }
-            let end = end.ok_or_else(|| "unterminated string value".to_string())?;
-            fields.push((key.to_string(), unescape(&val_rest[..end])?));
-            rest = &val_rest[end + 1..];
-        } else {
-            // Scalar value: runs to the next comma or the end.
-            let end = rest3.find(',').unwrap_or(rest3.len());
-            fields.push((key.to_string(), rest3[..end].trim().to_string()));
-            rest = &rest3[end..];
-        }
-    }
-    Ok(fields)
-}
-
-/// The fields of one parsed journal line, looked up by key.
-pub(crate) struct Fields(Vec<(String, String)>);
-
-impl Fields {
-    /// Parses `line` and checks its `v` stamp against `version`.
-    pub(crate) fn parse(line: &str, version: u32) -> Result<Fields, String> {
-        let fields = Fields(parse_fields(line)?);
-        let v: u32 = fields.num("v")?;
-        if v != version {
-            return Err(format!("unsupported journal version {v}"));
-        }
-        Ok(fields)
-    }
-
-    /// The (unescaped) value of `key`.
-    pub(crate) fn get(&self, key: &str) -> Result<&str, String> {
-        self.0
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-            .ok_or_else(|| format!("missing field '{key}'"))
-    }
-
-    /// The value of `key`, parsed.
-    pub(crate) fn num<T: FromStr>(&self, key: &str) -> Result<T, String> {
-        self.get(key)?
-            .parse()
-            .map_err(|_| format!("bad number in '{key}'"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -798,7 +662,7 @@ mod tests {
         }
         drop(log);
         let intact = fs::read_to_string(&path).unwrap();
-        fs::write(&path, format!("{intact}{{\"v\":1,\"target\":\"t")).unwrap();
+        fs::write(&path, intact.clone() + r#"{"v":1,"target":"t"#).unwrap();
         assert_eq!(AppendLog::<CellResult>::load(&path).unwrap().len(), 3);
         assert_eq!(fs::read_to_string(&path).unwrap(), intact);
 
