@@ -16,35 +16,20 @@ use super::Profile;
 use fjs_analysis::{f3, parallel_map, Table};
 use fjs_core::job::{Instance, Job};
 use fjs_opt::cached_optimal_span_dp;
+use fjs_prng::splitmix64;
 use fjs_schedulers::{cdb_bound, optimal_alpha, profit_bound, SchedulerKind, OPTIMAL_K};
-
-/// Deterministic splitmix64 stream (keeps this crate free of `rand`).
-struct Mix(u64);
-
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 /// Samples a random small integer instance: `2..=jobs_max` jobs, arrivals
 /// in `0..8`, laxities in `0..=5`, lengths in `1..=4`.
 pub fn sample_instance(seed: u64, jobs_max: usize) -> Instance {
-    let mut mix = Mix(seed);
-    let n = 2 + mix.below(jobs_max as u64 - 1) as usize;
+    let mut state = seed;
+    let mut below = |n: u64| splitmix64(&mut state) % n;
+    let n = 2 + below(jobs_max as u64 - 1) as usize;
     let jobs: Vec<Job> = (0..n)
         .map(|_| {
-            let a = mix.below(8) as f64;
-            let lax = mix.below(6) as f64;
-            let p = 1.0 + mix.below(4) as f64;
+            let a = below(8) as f64;
+            let lax = below(6) as f64;
+            let p = 1.0 + below(4) as f64;
             Job::adp(a, a + lax, p)
         })
         .collect();

@@ -32,6 +32,7 @@
 //! usage error.
 
 use fjs_cli::experiments::{all, by_id, Experiment, Profile};
+use fjs_core::supervise::DEFAULT_WATCHDOG_EVENTS;
 use std::io::{ErrorKind, Write as _};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -242,23 +243,16 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_chaos(args: &[String]) -> Result<(), CliError> {
-    use fjs_schedulers::chaos::{run_chaos_matrix_with, Verdict, CHAOS_MAX_EVENTS};
+    use fjs_schedulers::chaos::run_chaos_matrix;
     use fjs_schedulers::SchedulerKind;
 
     let mut args = args.to_vec();
-    let watchdog: usize = match take_flag_value(&mut args, "--watchdog-events")? {
-        Some(v) => v.parse().map_err(|_| {
-            CliError::Usage(Some(format!(
-                "--watchdog-events: '{v}' is not an event count"
-            )))
-        })?,
-        None => CHAOS_MAX_EVENTS,
-    };
+    let watchdog = take_watchdog_events(&mut args)?;
     let kinds = match args.first() {
         Some(name) => vec![pick_scheduler(name)?],
         None => SchedulerKind::registered_set(),
     };
-    let report = run_chaos_matrix_with(&kinds, watchdog);
+    let report = run_chaos_matrix(&kinds, watchdog);
 
     let env_total = fjs_core::faults::EnvFaultMode::ALL.len();
     let sched_total = fjs_core::faults::SchedFaultMode::ALL.len();
@@ -279,7 +273,7 @@ fn cmd_chaos(args: &[String]) -> Result<(), CliError> {
                 .cells
                 .iter()
                 .filter(|c| {
-                    c.scheduler == sched && c.fault.starts_with(prefix) && c.verdict.is_pass()
+                    c.scheduler == sched && c.fault.starts_with(prefix) && c.verdict.is_completed()
                 })
                 .count()
         };
@@ -287,7 +281,7 @@ fn cmd_chaos(args: &[String]) -> Result<(), CliError> {
             .cells
             .iter()
             .filter(|c| c.scheduler == sched)
-            .all(|c| c.verdict.is_pass());
+            .all(|c| c.verdict.is_completed());
         table.push_row(vec![
             sched.clone(),
             format!("{}/{env_total}", passed("env:")),
@@ -324,20 +318,13 @@ fn cmd_chaos(args: &[String]) -> Result<(), CliError> {
         Ok(())
     } else {
         if !failures.is_empty() {
-            let mut detail = fjs_analysis::Table::new(
-                "failing cells",
-                &["scheduler", "fault", "class", "detail"],
-            );
+            let mut detail =
+                fjs_analysis::Table::new("failing cells", &["scheduler", "fault", "verdict"]);
             for c in &failures {
-                let msg = match &c.verdict {
-                    Verdict::Pass => continue,
-                    Verdict::Unsound(m) | Verdict::Panicked(m) => m.clone(),
-                };
                 detail.push_row(vec![
                     c.scheduler.clone(),
                     c.fault.clone(),
-                    c.verdict.label().to_string(),
-                    msg,
+                    c.verdict.to_string(),
                 ]);
             }
             outln!("{}", detail.render());
@@ -373,6 +360,22 @@ fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>,
             args.remove(i);
             Ok(Some(value))
         }
+    }
+}
+
+/// Pulls `--watchdog-events <n>` out of `args`: the engine-event budget of
+/// every watchdogged run (default [`DEFAULT_WATCHDOG_EVENTS`]). A budget of
+/// 0 would cut every run off at its first event, so it is a usage error.
+fn take_watchdog_events(args: &mut Vec<String>) -> Result<usize, CliError> {
+    const FLAG: &str = "--watchdog-events";
+    match take_flag_value(args, FLAG)? {
+        None => Ok(DEFAULT_WATCHDOG_EVENTS),
+        Some(v) => match v.parse() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(CliError::Usage(Some(format!(
+                "{FLAG}: '{v}' is not a positive event count"
+            )))),
+        },
     }
 }
 
@@ -697,14 +700,7 @@ fn cmd_conform(args: &[String]) -> Result<(), CliError> {
     let quick = take_switch(&mut args, "--quick");
     let corpus_flag = take_flag_value(&mut args, "--corpus")?;
     let deck_flag = take_flag_value(&mut args, "--deck")?;
-    if let Some(v) = take_flag_value(&mut args, "--watchdog-events")? {
-        let n: usize = v.parse().map_err(|_| {
-            CliError::Usage(Some(format!(
-                "--watchdog-events: '{v}' is not an event count"
-            )))
-        })?;
-        set_watchdog_events(n);
-    }
+    set_watchdog_events(take_watchdog_events(&mut args)?);
     let shards: usize = match take_flag_value(&mut args, "--shards")? {
         Some(v) => v
             .parse()
@@ -869,7 +865,7 @@ fn cmd_conform(args: &[String]) -> Result<(), CliError> {
 
 fn cmd_soak(args: &[String]) -> Result<(), CliError> {
     use fjs_cli::soak::{install_sigint_handler, run_soak, SoakOptions};
-    use fjs_core::supervise::{PoisonMode, DEFAULT_WATCHDOG_EVENTS};
+    use fjs_core::supervise::PoisonMode;
     use fjs_testkit::{all_targets, Target};
     use std::time::Duration;
 
@@ -886,10 +882,7 @@ fn cmd_soak(args: &[String]) -> Result<(), CliError> {
         Some(v) => parse_num("--seed", v)?,
         None => 1,
     };
-    let watchdog_events: usize = match take_flag_value(&mut args, "--watchdog-events")? {
-        Some(v) => parse_num("--watchdog-events", v)? as usize,
-        None => DEFAULT_WATCHDOG_EVENTS,
-    };
+    let watchdog_events = take_watchdog_events(&mut args)?;
     let seconds = take_flag_value(&mut args, "--seconds")?
         .map(|v| parse_num("--seconds", v))
         .transpose()?;
@@ -1016,9 +1009,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     if let Some(v) = take_flag_value(&mut args, "--max-pending")? {
         opts.max_pending = parse_num("--max-pending", v)? as usize;
     }
-    if let Some(v) = take_flag_value(&mut args, "--watchdog-events")? {
-        opts.watchdog_events = parse_num("--watchdog-events", v)? as usize;
-    }
+    opts.watchdog_events = take_watchdog_events(&mut args)?;
     if let Some(v) = take_flag_value(&mut args, "--checkpoint-every")? {
         opts.checkpoint_every = parse_num("--checkpoint-every", v)? as usize;
     }

@@ -21,7 +21,6 @@
 //! converges to the same journal and report.
 
 use fjs_analysis::{sharded_map, ShardPlan};
-use fjs_core::faults::ChaosScheduler;
 use fjs_core::job::Instance;
 use fjs_core::sim::OnlineScheduler;
 use fjs_core::sim::StaticEnv;
@@ -226,10 +225,7 @@ fn load_trace_case(path: &Path, seed: u64) -> Result<(CaseSpec, IngestStats), St
 /// The subject a cell runs: the target's scheduler stack, optionally
 /// wrapped in a poison layer.
 fn build_subject(target: &Target, poison: Option<PoisonMode>) -> Box<dyn OnlineScheduler> {
-    let inner: Box<dyn OnlineScheduler> = match *target {
-        Target::Kind(kind) => kind.build(),
-        Target::Chaos { inner, mode } => Box::new(ChaosScheduler::new(inner.build(), mode)),
-    };
+    let inner = target.build();
     match poison {
         Some(mode) => Box::new(PoisonedScheduler::new(inner, mode)),
         None => inner,

@@ -33,7 +33,7 @@
 use std::fmt;
 
 use crate::job::{Instance, JobId};
-use crate::sim::engine::{Engine, EnvFault, Stop};
+use crate::sim::engine::Engine;
 use crate::sim::env::{Clairvoyance, JobSpec, StaticEnv};
 use crate::sim::sched::OnlineScheduler;
 use crate::sim::stats::RunStats;
@@ -325,7 +325,7 @@ impl Session {
         contain_panic(|| {
             engine
                 .release_alone(offer.arrival, spec)
-                .map_err(|stop| verdict_of(engine, stop))
+                .map_err(|stop| engine.stopped(stop).into())
         })
         .map_err(|verdict| {
             self.verdict = Some(verdict.clone());
@@ -342,33 +342,12 @@ impl Session {
             return v.clone();
         }
         let engine = &mut self.engine;
-        let verdict = contain_panic(|| engine.drain().map_err(|stop| verdict_of(engine, stop)))
+        let verdict = contain_panic(|| engine.drain().map_err(|stop| engine.stopped(stop).into()))
             .err()
             .unwrap_or(Verdict::Completed);
         self.verdict = Some(verdict.clone());
         verdict
     }
-}
-
-/// The verdict a stopped engine step poisons its session with.
-fn verdict_of(engine: &SessionEngine, stop: Stop) -> Verdict {
-    let message = match stop {
-        Stop::EventCap => {
-            return Verdict::TimedOut {
-                events: engine.stats.events_total,
-            }
-        }
-        // The engine marks the job started before it finds the overflow,
-        // and session lengths are always fixed.
-        Stop::Fault(EnvFault::HorizonOverflow { id }) => {
-            let job = engine.world.job(id);
-            let at = job.start().unwrap_or(Time::ZERO);
-            let length = job.length().unwrap_or(Dur::ZERO);
-            format!("horizon overflow: {id} started at {at} with length {length}")
-        }
-        Stop::Fault(fault) => fault.to_string(),
-    };
-    Verdict::Faulted { message }
 }
 
 #[cfg(test)]

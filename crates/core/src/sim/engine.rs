@@ -187,6 +187,10 @@ pub enum EnvFault {
     HorizonOverflow {
         /// The job whose completion overflowed.
         id: JobId,
+        /// Its start.
+        start: Time,
+        /// Its length.
+        length: Dur,
     },
 }
 
@@ -246,8 +250,11 @@ impl fmt::Display for EnvFault {
                     "length probe for {id} re-asked at {at}, which is not in the future"
                 )
             }
-            EnvFault::HorizonOverflow { id } => {
-                write!(f, "completion time of {id} overflows the finite time range")
+            EnvFault::HorizonOverflow { id, start, length } => {
+                write!(
+                    f,
+                    "horizon overflow: {id} started at {start} with length {length}"
+                )
             }
         }
     }
@@ -569,7 +576,11 @@ impl<E: Environment, S: OnlineScheduler> Engine<E, S> {
     fn completion_time(&self, id: JobId, at: Time, p: Dur) -> Result<Time, EnvFault> {
         let raw = at.get() + p.get();
         if !raw.is_finite() {
-            return Err(EnvFault::HorizonOverflow { id });
+            return Err(EnvFault::HorizonOverflow {
+                id,
+                start: at,
+                length: p,
+            });
         }
         Ok(Time::new(raw))
     }
@@ -732,6 +743,17 @@ impl<E: Environment, S: OnlineScheduler> Engine<E, S> {
     fn advance_before(&mut self, time: Time, order: u8) -> Result<(), Stop> {
         while self.step_before(Some((time, order)))? {}
         Ok(())
+    }
+
+    /// How a run that stopped short ended: the one step from [`Stop`] to
+    /// [`Termination`], for batch runs and sessions alike.
+    pub(crate) fn stopped(&self, stop: Stop) -> Termination {
+        match stop {
+            Stop::EventCap => Termination::EventCapExhausted {
+                events: self.stats.events_total,
+            },
+            Stop::Fault(fault) => Termination::EnvironmentFault(fault),
+        }
     }
 
     /// Processes every queued event, including those they queue in turn.
@@ -936,10 +958,7 @@ impl<E: Environment, S: OnlineScheduler> Engine<E, S> {
         self.stats.wall_total_s = run_start.elapsed().as_secs_f64();
         let termination = match drive_end {
             Ok(()) => Termination::Completed,
-            Err(Stop::EventCap) => Termination::EventCapExhausted {
-                events: self.stats.events_total,
-            },
-            Err(Stop::Fault(fault)) => Termination::EnvironmentFault(fault),
+            Err(stop) => self.stopped(stop),
         };
 
         if termination.is_completed() {

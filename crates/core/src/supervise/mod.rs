@@ -133,7 +133,8 @@ pub enum Verdict {
     /// A simulation fault: for [`supervise`], a non-transient environment
     /// fault or a transient one that survived every retry (the typed
     /// [`EnvFault`] stays in the outcome's [`Termination`]); for a session,
-    /// a horizon overflow.
+    /// a horizon overflow; for a chaos-matrix cell, also a completed run
+    /// whose schedule breaks an engine guarantee.
     Faulted {
         /// The fault, rendered.
         message: String,
@@ -154,6 +155,19 @@ impl Verdict {
     /// Whether the run drained naturally.
     pub fn is_completed(&self) -> bool {
         matches!(self, Verdict::Completed)
+    }
+}
+
+impl From<Termination> for Verdict {
+    /// The one mapping from how a run stopped to its verdict.
+    fn from(termination: Termination) -> Self {
+        match termination {
+            Termination::Completed => Verdict::Completed,
+            Termination::EventCapExhausted { events } => Verdict::TimedOut { events },
+            Termination::EnvironmentFault(fault) => Verdict::Faulted {
+                message: fault.to_string(),
+            },
+        }
     }
 }
 
@@ -200,12 +214,11 @@ pub struct Supervised {
 /// with the watchdog event budget under [`contain_panic`], so a poisoned
 /// subject is reported as a typed verdict instead of killing the caller:
 ///
-/// * natural drain → [`Verdict::Completed`];
-/// * event budget exhausted → [`Verdict::TimedOut`];
 /// * panic → [`Verdict::Panicked`] (payload rendered);
-/// * environment fault → retried with exponential backoff while
-///   [`EnvFault::is_transient`] and retries remain, else
-///   [`Verdict::Faulted`]; every retry lands in the ledger.
+/// * a transient fault ([`EnvFault::is_transient`]) with retries left →
+///   retried with exponential backoff, every retry logged in the ledger;
+/// * otherwise → the [`Verdict`] of the run's [`Termination`]: drained,
+///   budget exhausted or faulted.
 pub fn supervise<E, S>(
     mut factory: impl FnMut(u32) -> (E, S),
     config: &SuperviseConfig,
@@ -214,53 +227,40 @@ where
     E: Environment,
     S: OnlineScheduler,
 {
+    let sim = SimConfig {
+        max_events: config.watchdog_events,
+        ..SimConfig::default()
+    };
     let mut rng = SmallRng::seed_from_u64(config.retry.seed);
     let mut retries: Vec<RetryRecord> = Vec::new();
     let mut attempt: u32 = 0;
     loop {
-        let sim_config = SimConfig {
-            max_events: config.watchdog_events,
-            ..SimConfig::default()
-        };
         let (env, sched) = factory(attempt);
-        let attempts = attempt + 1;
-        let outcome = match contain_panic(|| Ok(run_with_config(env, sched, sim_config))) {
-            Ok(outcome) => outcome,
-            Err(verdict) => {
-                break Supervised {
-                    verdict,
-                    outcome: None,
-                    attempts,
-                    retries,
+        let (verdict, outcome) = match contain_panic(|| Ok(run_with_config(env, sched, sim))) {
+            Ok(outcome) => match outcome.termination {
+                Termination::EnvironmentFault(fault)
+                    if fault.is_transient() && attempt < config.retry.max_retries =>
+                {
+                    let backoff_ms = config.retry.backoff_ms(attempt, &mut rng);
+                    retries.push(RetryRecord {
+                        attempt,
+                        fault,
+                        backoff_ms,
+                    });
+                    if config.retry.sleep && backoff_ms > 0 {
+                        std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
+                    }
+                    attempt += 1;
+                    continue;
                 }
-            }
-        };
-        let verdict = match outcome.termination {
-            Termination::Completed => Verdict::Completed,
-            Termination::EventCapExhausted { events } => Verdict::TimedOut { events },
-            Termination::EnvironmentFault(fault)
-                if fault.is_transient() && attempt < config.retry.max_retries =>
-            {
-                let backoff_ms = config.retry.backoff_ms(attempt, &mut rng);
-                retries.push(RetryRecord {
-                    attempt,
-                    fault,
-                    backoff_ms,
-                });
-                if config.retry.sleep && backoff_ms > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
-                }
-                attempt += 1;
-                continue;
-            }
-            Termination::EnvironmentFault(fault) => Verdict::Faulted {
-                message: fault.to_string(),
+                termination => (termination.into(), Some(outcome)),
             },
+            Err(verdict) => (verdict, None),
         };
         break Supervised {
             verdict,
-            outcome: Some(outcome),
-            attempts,
+            outcome,
+            attempts: attempt + 1,
             retries,
         };
     }

@@ -28,8 +28,10 @@ pub struct SmallRng {
     s: [u64; 4],
 }
 
-/// SplitMix64 step, used to expand a 64-bit seed into generator state.
-fn splitmix64(state: &mut u64) -> u64 {
+/// SplitMix64 step: advances `state` and returns its next output. Expands
+/// seeds into [`SmallRng`] state, and is the workspace's one hash-quality
+/// stream for code that draws a few numbers straight from a seed.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -1,17 +1,17 @@
 //! Fault-injection verdict matrix: every registered scheduler against every
 //! environment and scheduler fault mode.
 //!
-//! Each cell runs one scheduler under one fault inside
-//! `std::panic::catch_unwind` and classifies the result:
+//! Each cell runs one scheduler under one fault through [`supervise`], with
+//! no retries, and gets its [`Verdict`]:
 //!
-//! * **pass** — the run terminated [`Termination::Completed`], the reported
-//!   schedule validates against the materialized instance, and every job was
-//!   started;
-//! * **unsound** — the run finished but broke one of those guarantees
-//!   (typed environment-fault termination, event-cap runaway, an invalid or
+//! * **completed** — the run drained, the reported schedule validates
+//!   against the materialized instance, and every job was started;
+//! * **faulted** — the engine flagged the (legal) job stream as faulty, or
+//!   the run drained but broke one of those guarantees (an invalid or
 //!   incomplete schedule);
-//! * **panic** — the engine or scheduler panicked. The engine's contract is
-//!   that faults surface as typed degradation, so any panic is a bug.
+//! * **timed-out** — the watchdog event budget cut off a runaway loop;
+//! * **panicked** — the engine or scheduler panicked. The engine's contract
+//!   is that faults surface as typed degradation, so any panic is a bug.
 //!
 //! Environment-fault cells wrap the base instance in a
 //! [`FaultyEnvironment`], which injects contract-*legal* pathological job
@@ -25,44 +25,10 @@
 
 use fjs_core::faults::{ChaosScheduler, EnvFaultMode, FaultyEnvironment, SchedFaultMode};
 use fjs_core::job::{Instance, Job};
-use fjs_core::sim::{run_with_config, SimConfig, SimOutcome, StaticEnv, Termination};
-use fjs_core::supervise::panic_message;
+use fjs_core::sim::{Environment, OnlineScheduler, SimOutcome, StaticEnv};
+use fjs_core::supervise::{supervise, RetryPolicy, SuperviseConfig, Verdict};
 
 use crate::registry::SchedulerKind;
-
-/// Default event budget per cell. Generous for these tiny instances —
-/// hundreds of events are typical — so hitting it means a runaway feedback
-/// loop, which the harness reports as unsound rather than looping for
-/// minutes. Override with [`run_chaos_matrix_with`] (`--watchdog-events`).
-pub const CHAOS_MAX_EVENTS: usize = 1_000_000;
-
-/// How one (scheduler, fault) cell ended.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Verdict {
-    /// Clean completion with a valid, complete schedule.
-    Pass,
-    /// The run finished but broke an engine guarantee; the message says
-    /// which one.
-    Unsound(String),
-    /// The run panicked; the message is the panic payload when printable.
-    Panicked(String),
-}
-
-impl Verdict {
-    /// `true` only for [`Verdict::Pass`].
-    pub fn is_pass(&self) -> bool {
-        matches!(self, Verdict::Pass)
-    }
-
-    /// Short cell label for tables: `pass`, `UNSOUND`, `PANIC`.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Verdict::Pass => "pass",
-            Verdict::Unsound(_) => "UNSOUND",
-            Verdict::Panicked(_) => "PANIC",
-        }
-    }
-}
 
 /// One cell of the chaos matrix.
 #[derive(Clone, Debug)]
@@ -71,7 +37,7 @@ pub struct ChaosCell {
     pub scheduler: String,
     /// Fault label (`env:` or `sched:` prefixed kebab-case mode name).
     pub fault: String,
-    /// Outcome classification.
+    /// How the cell's run ended.
     pub verdict: Verdict,
 }
 
@@ -85,12 +51,15 @@ pub struct ChaosReport {
 impl ChaosReport {
     /// Cells that did not pass.
     pub fn failures(&self) -> Vec<&ChaosCell> {
-        self.cells.iter().filter(|c| !c.verdict.is_pass()).collect()
+        self.cells
+            .iter()
+            .filter(|c| !c.verdict.is_completed())
+            .collect()
     }
 
     /// `true` when every cell passed.
     pub fn is_clean(&self) -> bool {
-        self.cells.iter().all(|c| c.verdict.is_pass())
+        self.cells.iter().all(|c| c.verdict.is_completed())
     }
 
     /// The distinct fault labels in matrix column order.
@@ -130,96 +99,82 @@ pub fn chaos_base_instance() -> Instance {
     ])
 }
 
-fn classify(outcome: &SimOutcome) -> Verdict {
-    match &outcome.termination {
-        Termination::Completed => {}
-        Termination::EventCapExhausted { events } => {
-            return Verdict::Unsound(format!("runaway: event cap hit after {events} events"));
-        }
-        Termination::EnvironmentFault(fault) => {
-            return Verdict::Unsound(format!(
-                "engine flagged a legal job stream as faulty: {fault}"
-            ));
-        }
-    }
+/// The matrix's oracle on a drained run: every length ruled, every job
+/// started, and a schedule that validates against the instance.
+fn guarantee_broken(outcome: &SimOutcome) -> Option<String> {
     if !outcome.unresolved.is_empty() {
-        return Verdict::Unsound(format!(
+        return Some(format!(
             "{} job lengths left unruled",
             outcome.unresolved.len()
         ));
     }
     if !outcome.schedule.is_complete() {
-        return Verdict::Unsound("schedule is missing job starts".into());
+        return Some("schedule is missing job starts".into());
     }
-    if let Err(e) = outcome.schedule.validate(&outcome.instance) {
-        return Verdict::Unsound(format!("invalid schedule: {e}"));
-    }
-    Verdict::Pass
+    outcome
+        .schedule
+        .validate(&outcome.instance)
+        .err()
+        .map(|e| format!("invalid schedule: {e}"))
 }
 
-fn run_cell(f: impl FnOnce() -> SimOutcome + std::panic::UnwindSafe) -> Verdict {
-    match std::panic::catch_unwind(f) {
-        Ok(outcome) => classify(&outcome),
-        Err(payload) => Verdict::Panicked(panic_message(payload.as_ref())),
-    }
-}
-
-/// Runs the full fault matrix for one scheduler kind: all
-/// [`EnvFaultMode`]s, then all [`SchedFaultMode`]s, at the default
-/// [`CHAOS_MAX_EVENTS`] watchdog budget.
-pub fn run_chaos_for(kind: SchedulerKind) -> Vec<ChaosCell> {
-    run_chaos_for_with(kind, CHAOS_MAX_EVENTS)
-}
-
-/// [`run_chaos_for`] with an explicit watchdog event budget per cell.
-pub fn run_chaos_for_with(kind: SchedulerKind, max_events: usize) -> Vec<ChaosCell> {
-    let base = chaos_base_instance();
-    let model = kind.information_model();
-    let config = SimConfig {
-        max_events,
-        ..SimConfig::default()
+/// Runs one cell under [`supervise`] with the given event budget and no
+/// retries: a retried transient fault would hide that the engine flagged
+/// a legal job stream as faulty.
+fn run_cell<E: Environment, S: OnlineScheduler>(
+    max_events: usize,
+    factory: impl FnMut(u32) -> (E, S),
+) -> Verdict {
+    let config = SuperviseConfig {
+        watchdog_events: max_events,
+        retry: RetryPolicy {
+            max_retries: 0,
+            ..RetryPolicy::default()
+        },
     };
-    let scheduler = kind.label();
-    let mut cells = Vec::with_capacity(EnvFaultMode::ALL.len() + SchedFaultMode::ALL.len());
-
-    for mode in EnvFaultMode::ALL {
-        let verdict = run_cell(|| {
-            let env = FaultyEnvironment::new(StaticEnv::new(&base, model), mode);
-            run_with_config(env, kind.build(), config)
-        });
-        cells.push(ChaosCell {
-            scheduler: scheduler.clone(),
-            fault: format!("env:{}", mode.label()),
-            verdict,
-        });
+    let sup = supervise(factory, &config);
+    let broken = sup
+        .outcome
+        .as_ref()
+        .filter(|_| sup.verdict.is_completed())
+        .and_then(guarantee_broken);
+    match broken {
+        Some(message) => Verdict::Faulted { message },
+        None => sup.verdict,
     }
-
-    for mode in SchedFaultMode::ALL {
-        let verdict = run_cell(|| {
-            let env = StaticEnv::new(&base, model);
-            run_with_config(env, ChaosScheduler::new(kind.build(), mode), config)
-        });
-        cells.push(ChaosCell {
-            scheduler: scheduler.clone(),
-            fault: format!("sched:{}", mode.label()),
-            verdict,
-        });
-    }
-
-    cells
 }
 
-/// Runs the matrix for the given kinds (typically
-/// [`SchedulerKind::registered_set`]) at the default watchdog budget.
-pub fn run_chaos_matrix(kinds: &[SchedulerKind]) -> ChaosReport {
-    run_chaos_matrix_with(kinds, CHAOS_MAX_EVENTS)
-}
-
-/// [`run_chaos_matrix`] with an explicit watchdog event budget per cell.
-pub fn run_chaos_matrix_with(kinds: &[SchedulerKind], max_events: usize) -> ChaosReport {
+/// Runs the full fault matrix for the given kinds (typically
+/// [`SchedulerKind::registered_set`]): per kind, all [`EnvFaultMode`]s,
+/// then all [`SchedFaultMode`]s, each cell under a watchdog budget of
+/// `max_events` engine events (`--watchdog-events`, default
+/// [`DEFAULT_WATCHDOG_EVENTS`](fjs_core::supervise::DEFAULT_WATCHDOG_EVENTS)).
+pub fn run_chaos_matrix(kinds: &[SchedulerKind], max_events: usize) -> ChaosReport {
+    let base = chaos_base_instance();
     let mut report = ChaosReport::default();
     for &kind in kinds {
-        report.cells.extend(run_chaos_for_with(kind, max_events));
+        let model = kind.information_model();
+        let mut push = |fault: String, verdict: Verdict| {
+            report.cells.push(ChaosCell {
+                scheduler: kind.label(),
+                fault,
+                verdict,
+            })
+        };
+        for mode in EnvFaultMode::ALL {
+            let verdict = run_cell(max_events, |_| {
+                let env = FaultyEnvironment::new(StaticEnv::new(&base, model), mode);
+                (env, kind.build())
+            });
+            push(format!("env:{}", mode.label()), verdict);
+        }
+        for mode in SchedFaultMode::ALL {
+            let verdict = run_cell(max_events, |_| {
+                let env = StaticEnv::new(&base, model);
+                (env, ChaosScheduler::new(kind.build(), mode))
+            });
+            push(format!("sched:{}", mode.label()), verdict);
+        }
     }
     report
 }
@@ -227,6 +182,7 @@ pub fn run_chaos_matrix_with(kinds: &[SchedulerKind], max_events: usize) -> Chao
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fjs_core::supervise::DEFAULT_WATCHDOG_EVENTS;
 
     #[test]
     fn base_instance_is_nontrivial() {
@@ -239,7 +195,7 @@ mod tests {
 
     #[test]
     fn full_matrix_is_clean() {
-        let report = run_chaos_matrix(&SchedulerKind::registered_set());
+        let report = run_chaos_matrix(&SchedulerKind::registered_set(), DEFAULT_WATCHDOG_EVENTS);
         let expected = SchedulerKind::registered_set().len()
             * (EnvFaultMode::ALL.len() + SchedFaultMode::ALL.len());
         assert_eq!(report.cells.len(), expected);
@@ -257,7 +213,10 @@ mod tests {
 
     #[test]
     fn report_axes_cover_the_matrix() {
-        let report = run_chaos_matrix(&[SchedulerKind::Eager, SchedulerKind::Lazy]);
+        let report = run_chaos_matrix(
+            &[SchedulerKind::Eager, SchedulerKind::Lazy],
+            DEFAULT_WATCHDOG_EVENTS,
+        );
         assert_eq!(report.scheduler_labels().len(), 2);
         assert_eq!(
             report.fault_labels().len(),
@@ -287,20 +246,29 @@ mod tests {
             }
         }
         let base = chaos_base_instance();
-        let verdict = run_cell(|| {
+        let verdict = run_cell(DEFAULT_WATCHDOG_EVENTS, |_| {
             let env = StaticEnv::new(&base, fjs_core::sim::Clairvoyance::NonClairvoyant);
-            run_with_config(
-                env,
-                Exploder,
-                SimConfig {
-                    max_events: CHAOS_MAX_EVENTS,
-                    ..SimConfig::default()
-                },
-            )
+            (env, Exploder)
         });
         match verdict {
-            Verdict::Panicked(msg) => assert!(msg.contains("exploded")),
+            Verdict::Panicked { message } => assert!(message.contains("exploded")),
             other => panic!("expected Panicked, got {other:?}"),
         }
+    }
+
+    /// A runaway cell is cut off by the watchdog and reported, not looped
+    /// on: at a 50-event budget only the wakeup storm outruns it.
+    #[test]
+    fn a_runaway_cell_is_reported_timed_out() {
+        let report = run_chaos_matrix(&[SchedulerKind::Eager], 50);
+        let failures: Vec<(&str, &Verdict)> = report
+            .failures()
+            .iter()
+            .map(|c| (c.fault.as_str(), &c.verdict))
+            .collect();
+        assert_eq!(
+            failures,
+            vec![("sched:wakeup-storm", &Verdict::TimedOut { events: 50 })]
+        );
     }
 }

@@ -13,16 +13,9 @@
 
 use fjs_core::job::JobId;
 use fjs_core::sim::{Arrival, Ctx, OnlineScheduler};
+use fjs_prng::splitmix64;
 
 use crate::flag_graph::FlagRecorder;
-
-/// Splitmix64 step.
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Starts each job at a uniformly random feasible time (seeded).
 #[derive(Clone, Copy, Debug)]
@@ -37,8 +30,8 @@ impl RandomStart {
     }
 
     fn unit(&self, id: JobId) -> f64 {
-        (mix(self.seed ^ u64::from(id.0).wrapping_mul(0xA24B_AED4_963E_E407)) >> 11) as f64
-            / (1u64 << 53) as f64
+        let mut state = self.seed ^ u64::from(id.0).wrapping_mul(0xA24B_AED4_963E_E407);
+        (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 

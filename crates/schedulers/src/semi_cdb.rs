@@ -102,13 +102,7 @@ mod tests {
 
     fn workload(seed: u64, n: usize) -> Instance {
         let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut next = move || fjs_prng::splitmix64(&mut state);
         let jobs: Vec<Job> = (0..n)
             .map(|_| {
                 let a = (next() % 300) as f64 / 10.0;

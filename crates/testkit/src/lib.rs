@@ -44,4 +44,4 @@ pub use oracles::{
     applicable, check_all, exact_opt, row, still_fails, OracleKind, OracleViolation,
 };
 pub use shrink::{shrink, ShrinkStats, DEFAULT_SHRINK_BUDGET};
-pub use target::{set_watchdog_events, watchdog_events, Target, CONFORM_MAX_EVENTS};
+pub use target::{set_watchdog_events, watchdog_events, Target};

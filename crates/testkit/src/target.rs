@@ -4,24 +4,24 @@
 
 use fjs_core::faults::{ChaosScheduler, SchedFaultMode};
 use fjs_core::job::Instance;
-use fjs_core::sim::{run_with_config, Clairvoyance, SimConfig, SimOutcome, StaticEnv, TraceMode};
+use fjs_core::sim::{
+    run_with_config, Clairvoyance, OnlineScheduler, SimConfig, SimOutcome, StaticEnv, TraceMode,
+};
+use fjs_core::supervise::DEFAULT_WATCHDOG_EVENTS;
 use fjs_schedulers::SchedulerKind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Default event budget per conformance run. The deck instances are tiny,
-/// so hitting this means a runaway wakeup loop — reported as a violation,
-/// not a hang.
-pub const CONFORM_MAX_EVENTS: usize = 1_000_000;
-
-/// The process-wide watchdog budget [`Target::run_on`] applies.
-static WATCHDOG_EVENTS: AtomicUsize = AtomicUsize::new(CONFORM_MAX_EVENTS);
+/// The process-wide watchdog budget [`Target::run_on`] applies. The deck
+/// instances are tiny, so hitting it means a runaway wakeup loop —
+/// reported as a violation, not a hang.
+static WATCHDOG_EVENTS: AtomicUsize = AtomicUsize::new(DEFAULT_WATCHDOG_EVENTS);
 
 /// Overrides the watchdog event budget for every subsequent
 /// [`Target::run_on`] in this process (the CLI's `--watchdog-events`).
 /// Process-global because the budget threads through every oracle and
 /// shrinker re-run; set it once before a sweep, not concurrently with one.
 pub fn set_watchdog_events(max_events: usize) {
-    WATCHDOG_EVENTS.store(max_events.max(1), Ordering::Relaxed);
+    WATCHDOG_EVENTS.store(max_events, Ordering::Relaxed);
 }
 
 /// The watchdog event budget currently in force.
@@ -101,11 +101,14 @@ impl Target {
             ..SimConfig::default()
         };
         let env = StaticEnv::new(inst, self.information_model());
+        run_with_config(env, self.build(), config)
+    }
+
+    /// A fresh instance of the scheduler stack this target runs.
+    pub fn build(&self) -> Box<dyn OnlineScheduler> {
         match *self {
-            Target::Kind(kind) => run_with_config(env, kind.build(), config),
-            Target::Chaos { inner, mode } => {
-                run_with_config(env, ChaosScheduler::new(inner.build(), mode), config)
-            }
+            Target::Kind(kind) => kind.build(),
+            Target::Chaos { inner, mode } => Box::new(ChaosScheduler::new(inner.build(), mode)),
         }
     }
 

@@ -253,15 +253,8 @@ fn unit_trap_forces_two_on_arrival_greedy_play() {
 
 /// Deterministic small integer instance family (exactly solvable).
 fn random_small(seed: u64) -> Instance {
-    // splitmix64
     let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
+    let mut next = move || fjs_prng::splitmix64(&mut state);
     let n = 2 + (next() % 4) as usize;
     let jobs: Vec<Job> = (0..n)
         .map(|_| {
@@ -278,13 +271,7 @@ fn random_small(seed: u64) -> Instance {
 /// solvable): the `random_small` grid with every length pinned to 1.
 fn random_uniform(seed: u64) -> Instance {
     let mut state = seed.wrapping_add(0xA076_1D64_78BD_642F);
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
+    let mut next = move || fjs_prng::splitmix64(&mut state);
     let n = 2 + (next() % 4) as usize;
     let jobs: Vec<Job> = (0..n)
         .map(|_| {
