@@ -248,7 +248,7 @@ fn cmd_chaos(args: &[String]) -> Result<(), CliError> {
 
     let mut args = args.to_vec();
     let watchdog = take_watchdog_events(&mut args)?;
-    let kinds = match args.first() {
+    let kinds = match leftover("chaos", &args, 1)? {
         Some(name) => vec![pick_scheduler(name)?],
         None => SchedulerKind::registered_set(),
     };
@@ -363,6 +363,29 @@ fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>,
     }
 }
 
+/// Parses the number a `flag` was given; anything else is a usage error
+/// that names the flag.
+fn parse_num(flag: &str, v: String) -> Result<u64, CliError> {
+    v.parse()
+        .map_err(|_| CliError::Usage(Some(format!("{flag}: '{v}' is not a number"))))
+}
+
+/// What is left of a command's `args` once its flags are taken: at most
+/// `max` targets (0 or 1), and no leftover `--flag`. Any other token is a
+/// usage error that names it. Returns the target, if there is one.
+fn leftover<'a>(cmd: &str, args: &'a [String], max: usize) -> Result<Option<&'a str>, CliError> {
+    let stray = args
+        .iter()
+        .enumerate()
+        .find(|&(i, a)| i >= max || a.starts_with("--"));
+    if let Some((_, extra)) = stray {
+        return Err(CliError::Usage(Some(format!(
+            "{cmd}: unexpected argument '{extra}'"
+        ))));
+    }
+    Ok(args.first().map(String::as_str))
+}
+
 /// Pulls `--watchdog-events <n>` out of `args`: the engine-event budget of
 /// every watchdogged run (default [`DEFAULT_WATCHDOG_EVENTS`]). A budget of
 /// 0 would cut every run off at its first event, so it is a usage error.
@@ -399,7 +422,7 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     };
     let jsonl_path = take_flag_value(&mut args, "--log-jsonl")?;
 
-    let which = args.first().map(String::as_str).unwrap_or("all");
+    let which = leftover("stats", &args, 1)?.unwrap_or("all");
     let kinds = match which {
         "all" => SchedulerKind::full_set(),
         name => vec![pick_scheduler(name)?],
@@ -541,11 +564,7 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     let mut args = args.to_vec();
     let json_path = take_flag_value(&mut args, "--json")?;
     let quick = take_switch(&mut args, "--quick");
-    if let Some(extra) = args.first() {
-        return Err(CliError::Usage(Some(format!(
-            "bench: unexpected argument '{extra}'"
-        ))));
-    }
+    leftover("bench", &args, 0)?;
     fjs_opt::cache::reset();
     let report = fjs_cli::bench::run_bench_suite(quick);
     let cache = fjs_opt::cache::stats();
@@ -715,7 +734,7 @@ fn cmd_conform(args: &[String]) -> Result<(), CliError> {
         )));
     }
 
-    let which = args.first().map(String::as_str).unwrap_or("all");
+    let which = leftover("conform", &args, 1)?.unwrap_or("all");
     let (targets, default_deck): (Vec<Target>, DeckKind) = match which {
         "all" => (all_targets(), DeckKind::Main),
         "uniform" => (uniform_targets(), DeckKind::Uniform),
@@ -870,10 +889,6 @@ fn cmd_soak(args: &[String]) -> Result<(), CliError> {
     use std::time::Duration;
 
     let mut args = args.to_vec();
-    let parse_num = |flag: &str, v: String| -> Result<u64, CliError> {
-        v.parse()
-            .map_err(|_| CliError::Usage(Some(format!("{flag}: '{v}' is not a number"))))
-    };
     let cells: usize = match take_flag_value(&mut args, "--cells")? {
         Some(v) => parse_num("--cells", v)? as usize,
         None => 64,
@@ -915,6 +930,7 @@ fn cmd_soak(args: &[String]) -> Result<(), CliError> {
     let Some(journal) = take_flag_value(&mut args, "--journal")? else {
         return Err(CliError::Usage(Some("soak needs --journal <file>".into())));
     };
+    let which = leftover("soak", &args, 1)?.unwrap_or("all");
     if resume {
         // A --resume against a missing or empty journal would silently run
         // fresh; that is always an operator mistake (typo'd path, wrong
@@ -930,7 +946,6 @@ fn cmd_soak(args: &[String]) -> Result<(), CliError> {
         }
     }
 
-    let which = args.first().map(String::as_str).unwrap_or("all");
     let targets: Vec<Target> = match which {
         "all" => all_targets(),
         "chaos" => vec![Target::default_chaos()],
@@ -981,10 +996,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     use std::io::BufWriter;
 
     let mut args = args.to_vec();
-    let parse_num = |flag: &str, v: String| -> Result<u64, CliError> {
-        v.parse()
-            .map_err(|_| CliError::Usage(Some(format!("{flag}: '{v}' is not a number"))))
-    };
     let input = take_flag_value(&mut args, "--input")?;
     let socket = take_flag_value(&mut args, "--socket")?.map(std::path::PathBuf::from);
     let tcp = take_flag_value(&mut args, "--tcp")?;
@@ -1037,7 +1048,12 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         opts.tenant_quotas.max_bytes = parse_num("--tenant-max-bytes", v)?;
     }
     if let Some(v) = take_flag_value(&mut args, "--breaker-threshold")? {
-        opts.breaker.threshold = parse_num("--breaker-threshold", v)? as u32;
+        opts.breaker.threshold = v.parse().map_err(|_| {
+            CliError::Usage(Some(format!(
+                "--breaker-threshold: '{v}' is not a failure count (0 to {})",
+                u32::MAX
+            )))
+        })?;
     }
     if let Some(v) = take_flag_value(&mut args, "--breaker-cooldown")? {
         opts.breaker.cooldown_events = parse_num("--breaker-cooldown", v)?;
@@ -1061,11 +1077,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         opts.writer_queue = n;
     }
     let stats_jsonl = take_flag_value(&mut args, "--stats-jsonl")?;
-    if let Some(extra) = args.first() {
-        return Err(CliError::Usage(Some(format!(
-            "serve: unexpected argument '{extra}'"
-        ))));
-    }
+    leftover("serve", &args, 0)?;
     if input.is_some() && (socket.is_some() || tcp.is_some()) {
         return Err(CliError::Usage(Some(
             "serve: --input and --socket/--tcp are mutually exclusive".into(),
@@ -1187,10 +1199,6 @@ fn cmd_fuzz_serve(args: &[String]) -> Result<(), CliError> {
     use fjs_cli::loadgen::DriveTarget;
 
     let mut args = args.to_vec();
-    let parse_num = |flag: &str, v: String| -> Result<u64, CliError> {
-        v.parse()
-            .map_err(|_| CliError::Usage(Some(format!("{flag}: '{v}' is not a number"))))
-    };
     let mut opts = FuzzServeOptions::default();
     if let Some(sock) = take_flag_value(&mut args, "--socket")? {
         #[cfg(unix)]
@@ -1227,11 +1235,7 @@ fn cmd_fuzz_serve(args: &[String]) -> Result<(), CliError> {
     if let Some(path) = take_flag_value(&mut args, "--emit-clean")? {
         opts.emit_clean = Some(path.into());
     }
-    if let Some(extra) = args.first() {
-        return Err(CliError::Usage(Some(format!(
-            "fuzz-serve: unexpected argument '{extra}'"
-        ))));
-    }
+    leftover("fuzz-serve", &args, 0)?;
     if opts.targets.is_empty() {
         return Err(CliError::Usage(Some(
             "fuzz-serve needs --socket <path> and/or --tcp <addr>".into(),
@@ -1251,10 +1255,6 @@ fn cmd_loadgen(args: &[String]) -> Result<(), CliError> {
     use fjs_cli::loadgen::{emit_script, LoadgenOptions};
 
     let mut args = args.to_vec();
-    let parse_num = |flag: &str, v: String| -> Result<u64, CliError> {
-        v.parse()
-            .map_err(|_| CliError::Usage(Some(format!("{flag}: '{v}' is not a number"))))
-    };
     let parse_f64 = |flag: &str, v: String| -> Result<f64, CliError> {
         v.parse()
             .map_err(|_| CliError::Usage(Some(format!("{flag}: '{v}' is not a number"))))
@@ -1309,11 +1309,7 @@ fn cmd_loadgen(args: &[String]) -> Result<(), CliError> {
         }
         None => 1,
     };
-    if let Some(extra) = args.first() {
-        return Err(CliError::Usage(Some(format!(
-            "loadgen: unexpected argument '{extra}'"
-        ))));
-    }
+    leftover("loadgen", &args, 0)?;
 
     if let Some(path) = emit {
         let script = emit_script(&opts);

@@ -44,6 +44,13 @@
 //! `--max-pending` globally; hitting it blocks the frontend instead of
 //! shedding, because shedding on a timing-dependent condition would
 //! break determinism.
+//!
+//! A state-changing request (`open`, `job`, `close`) is held in flight as
+//! its journal record, a [`ServeEvent`] built once from the parsed request.
+//! The pool request is made from the record ([`ServeEvent::pool_request`]),
+//! and the record moves into the journal once the worker has applied it.
+//! [`Server::resume`] hands journaled records to the same submit path after
+//! only the directory bookkeeping: replay does not re-decide admission.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -53,7 +60,6 @@ use fjs_core::service::{
     stable_shard, tenant_of, OpenDecision, PoolReply, PoolRequest, ServeEvent, ServeJournal,
     SessionPool, TenantBreakers, Waker,
 };
-use fjs_core::time::{dur, t};
 use fjs_workloads::{DeadLetter, Quarantine};
 
 use super::protocol::{parse_request, Request};
@@ -64,31 +70,48 @@ use super::{build_session, wire, ServeOptions, ServeSummary, Sink};
 /// hung schedulers — so this only shapes shutdown latency).
 const PUMP_TICK: Duration = Duration::from_millis(100);
 
-/// What was asked of the pool, kept dispatcher-side until the worker's
-/// reply comes back and the request can be rendered.
-enum InKind {
-    Open {
-        /// The scheduler spec, echoed into the journal record.
-        spec: String,
-    },
-    Job {
-        arrival: f64,
-        deadline: f64,
-        length: f64,
-    },
-    Close,
-    Stats,
-    /// A drain-initiated close: journaled and logged, but no reply.
-    DrainClose,
+/// What the dispatcher keeps while a request is in flight: the journal
+/// record of a state-changing request (`open`, `job`, `close`), or the
+/// sid a `stats` probe reads.
+enum Held {
+    Record(ServeEvent),
+    Probe(String),
+}
+
+impl Held {
+    fn sid(&self) -> &str {
+        match self {
+            Held::Record(ev) => ev.session(),
+            Held::Probe(sid) => sid,
+        }
+    }
+
+    /// The protocol verb, as replies name it.
+    fn verb(&self) -> &'static str {
+        match self {
+            Held::Record(ServeEvent::Open { .. }) => "open",
+            Held::Record(ServeEvent::Job { .. }) => "job",
+            Held::Record(ServeEvent::Close { .. }) => "close",
+            Held::Probe(_) => "stats",
+        }
+    }
+
+    /// The input line of a record; a probe's reply names none.
+    fn line(&self) -> u64 {
+        match self {
+            Held::Record(ev) => ev.line(),
+            Held::Probe(_) => 0,
+        }
+    }
 }
 
 struct Inflight {
-    sid: String,
-    line: u64,
+    held: Held,
+    /// Byte offset of the request in its connection's stream.
     offset: u64,
     /// `(conn, conn_seq)` to route the reply, `None` for replay/drain.
     reply_to: Option<(u64, u64)>,
-    kind: InKind,
+    /// A journal record being replayed: it is in the journal already.
     replay: bool,
 }
 
@@ -336,8 +359,9 @@ impl Server {
         self.released.retain(|&(c, _)| c != conn);
     }
 
-    /// Renders a worker reply into its parked block + routed reply,
-    /// using the dispatcher-side metadata captured at submission.
+    /// Renders a worker reply into its parked block + routed reply. A
+    /// request the worker applied moves its record into the block for
+    /// the journal, unless it is a replay (in the journal already).
     fn render(&mut self, seq: u64, reply: PoolReply) {
         let idx = (seq - self.next_emit) as usize;
         let Some(slot) = self.window.get_mut(idx) else {
@@ -346,97 +370,53 @@ impl Server {
         let Slot::Waiting(meta) = std::mem::replace(slot, Slot::Done(Block::default())) else {
             return;
         };
-        let sid = meta.sid.as_str();
-        // A replayed request is in the journal already; with no journal
-        // there is no record to build.
-        let journaled = !meta.replay && self.journal.is_some();
+        let sid = meta.held.sid();
         let mut block = Block::default();
-        let mut reply_text: Option<String> = None;
-        match (&meta.kind, reply) {
-            (InKind::Open { spec }, PoolReply::Opened { name }) => {
+        if let PoolReply::OfferAdmitted { decisions, .. }
+        | PoolReply::OfferPoisoned { decisions, .. }
+        | PoolReply::Closed { decisions, .. } = &reply
+        {
+            block.log_lines = decisions
+                .iter()
+                .map(|d| wire::decision_line(sid, d))
+                .collect();
+        }
+        let reply_text = match (meta.held.verb(), reply) {
+            ("open", PoolReply::Opened { name }) => {
                 self.summary.opened += 1;
                 block.breaker = Some(BreakerNote::Event);
-                if journaled {
-                    block.journal = Some(ServeEvent::Open {
-                        session: meta.sid.clone(),
-                        scheduler: spec.clone(),
-                        line: meta.line,
-                    });
-                }
-                reply_text = Some(wire::open_ok(sid, &name));
+                Some(wire::open_ok(sid, &name))
             }
-            (InKind::Open { .. }, PoolReply::OpenFailed { error }) => {
+            ("open", PoolReply::OpenFailed { error }) => {
                 // Can't happen post-validation; keep the directory honest.
                 self.directory.remove(sid);
-                reply_text = Some(wire::open_err(sid, &error));
+                Some(wire::open_err(sid, &error))
             }
-            (
-                InKind::Job {
-                    arrival,
-                    deadline,
-                    length,
-                },
-                PoolReply::OfferAdmitted {
-                    id,
-                    span,
-                    decisions,
-                },
-            ) => {
-                for d in &decisions {
-                    block.log_lines.push(wire::decision_line(sid, d));
-                }
+            ("job", PoolReply::OfferAdmitted { id, span, .. }) => {
                 block.breaker = Some(BreakerNote::Event);
-                if journaled {
-                    block.journal = Some(ServeEvent::Job {
-                        session: meta.sid.clone(),
-                        line: meta.line,
-                        arrival: *arrival,
-                        deadline: *deadline,
-                        length: *length,
-                    });
-                }
                 if !meta.replay {
                     self.summary.jobs += 1;
                 }
-                reply_text = Some(wire::job_ok(sid, id, span));
+                Some(wire::job_ok(sid, id, span))
             }
-            (
-                InKind::Job {
-                    arrival,
-                    deadline,
-                    length,
-                },
-                PoolReply::OfferPoisoned { verdict, decisions },
-            ) => {
+            ("job", PoolReply::OfferPoisoned { verdict, .. }) => {
                 // The offer mutated the session before poisoning it, so
                 // it is journaled exactly like an admitted job.
-                for d in &decisions {
-                    block.log_lines.push(wire::decision_line(sid, d));
-                }
                 block.breaker = Some(BreakerNote::Event);
-                if journaled {
-                    block.journal = Some(ServeEvent::Job {
-                        session: meta.sid.clone(),
-                        line: meta.line,
-                        arrival: *arrival,
-                        deadline: *deadline,
-                        length: *length,
-                    });
-                }
                 if !meta.replay {
                     self.summary.jobs += 1;
                 }
-                reply_text = Some(wire::job_poisoned(sid, &verdict));
+                Some(wire::job_poisoned(sid, &verdict))
             }
-            (InKind::Job { .. }, PoolReply::OfferTerminal { verdict }) => {
-                reply_text = Some(wire::job_terminal(sid, &verdict));
+            ("job", PoolReply::OfferTerminal { verdict }) => {
+                Some(wire::job_terminal(sid, &verdict))
             }
-            (InKind::Job { .. }, PoolReply::OfferShed { resident }) => {
+            ("job", PoolReply::OfferShed { resident }) => {
                 self.summary.shed += 1;
-                reply_text = Some(wire::job_busy(sid, resident, self.opts.max_pending));
+                Some(wire::job_busy(sid, resident, self.opts.max_pending))
             }
             (
-                InKind::Job { .. },
+                "job",
                 PoolReply::OfferTenantShed {
                     tenant,
                     cause,
@@ -445,67 +425,48 @@ impl Server {
                 },
             ) => {
                 self.summary.tenant_shed += 1;
-                reply_text = Some(wire::job_tenant_busy(sid, &tenant, cause, used, limit));
+                Some(wire::job_tenant_busy(sid, &tenant, cause, used, limit))
             }
-            (InKind::Job { .. }, PoolReply::OfferRejected { error, decisions }) => {
-                for d in &decisions {
-                    block.log_lines.push(wire::decision_line(sid, d));
-                }
-                reply_text = Some(wire::job_rejected(sid, meta.line, meta.offset, &error));
-            }
-            (InKind::Job { .. }, PoolReply::NoSession) => {
-                reply_text = Some(wire::no_session("job", sid));
-            }
+            ("job", PoolReply::OfferRejected { error }) => Some(wire::job_rejected(
+                sid,
+                meta.held.line(),
+                meta.offset,
+                &error,
+            )),
             (
-                InKind::Close | InKind::DrainClose,
+                "close",
                 PoolReply::Closed {
                     verdict,
                     span,
                     jobs,
-                    decisions,
+                    ..
                 },
             ) => {
-                for d in &decisions {
-                    block.log_lines.push(wire::decision_line(sid, d));
-                }
                 block
                     .log_lines
                     .push(wire::close_line(sid, span, verdict.label()));
                 block.breaker = Some(BreakerNote::Close {
-                    sid: meta.sid.clone(),
+                    sid: sid.to_string(),
                     completed: verdict.is_completed(),
                 });
-                if journaled {
-                    block.journal = Some(ServeEvent::Close {
-                        session: meta.sid.clone(),
-                        line: meta.line,
-                    });
-                }
                 self.summary.closed += 1;
-                if matches!(meta.kind, InKind::Close) {
-                    reply_text = Some(wire::close_ok(sid, span, jobs, verdict.label()));
-                }
+                Some(wire::close_ok(sid, span, jobs, verdict.label()))
             }
-            (InKind::Close | InKind::DrainClose, PoolReply::NoSession) => {
-                reply_text = Some(format!("err close {sid}: no such session"));
-            }
-            (InKind::Stats, PoolReply::Stats(s)) => {
-                reply_text = Some(wire::stats_ok(
-                    sid,
-                    s.span,
-                    s.pending,
-                    s.running,
-                    s.retained,
-                    s.peak_retained,
-                    s.events_total,
-                ));
-            }
-            (InKind::Stats, PoolReply::NoSession) => {
-                reply_text = Some(wire::no_session("stats", sid));
+            ("stats", PoolReply::Stats(s)) => Some(wire::stats_ok(sid, &s)),
+            (verb @ ("job" | "close" | "stats"), PoolReply::NoSession) => {
+                Some(wire::no_session(verb, sid))
             }
             (_, other) => {
                 // A worker answered out of protocol — unrecoverable.
                 self.halt(format!("worker protocol violation for {sid}: {other:?}"));
+                None
+            }
+        };
+        // What the worker applied is a breaker event, and the journal
+        // records it.
+        if block.breaker.is_some() && !meta.replay && self.journal.is_some() {
+            if let Held::Record(ev) = meta.held {
+                block.journal = Some(ev);
             }
         }
         self.window[idx] = Slot::Done(block);
@@ -514,25 +475,32 @@ impl Server {
         }
     }
 
-    /// Submits a request to the pool under the next sequence slot, once
-    /// the global dispatch window has room for it. It is applied on this
-    /// thread if its worker has nothing outstanding and no `backlog` of
-    /// input waits (see [`SessionPool::run_or_queue`]).
-    fn submit_pool(
-        &mut self,
-        worker: usize,
-        req: PoolRequest,
-        meta: Inflight,
-        backlog: bool,
-    ) -> Result<(), String> {
+    /// Submits the request `meta` holds to the pool under the next
+    /// sequence slot, once the global dispatch window has room for it.
+    /// It is applied on this thread if its worker has nothing outstanding
+    /// and no `backlog` of input waits (see [`SessionPool::run_or_queue`]).
+    /// Live requests, replayed records and drain closes all come here.
+    fn submit_pool(&mut self, worker: usize, meta: Inflight, backlog: bool) -> Result<(), String> {
         self.settle_blocks(self.opts.max_pending.max(1) - 1);
         let seq = self.next_emit + self.window.len() as u64;
+        let req = match &meta.held {
+            Held::Record(ev) => ev.pool_request(),
+            Held::Probe(sid) => PoolRequest::Stats { sid: sid.clone() },
+        };
         let reply_to = meta.reply_to.map(|(conn, _)| self.conn_slot(conn));
         self.window
             .push_back(Slot::Waiting(Inflight { reply_to, ..meta }));
         self.pool
             .run_or_queue(worker, seq, req, backlog)
             .map_err(|e| format!("worker pool: {e}"))
+    }
+
+    /// Places a newly opened session on its tenant's shard.
+    fn place(&mut self, sid: &str) -> usize {
+        let worker = stable_shard(tenant_of(sid), self.pool.workers());
+        self.directory.insert(sid.to_string(), worker);
+        self.summary.peak_sessions = self.summary.peak_sessions.max(self.directory.len());
+        worker
     }
 
     /// Handles one raw input line from `conn` starting at byte `offset`
@@ -628,7 +596,7 @@ impl Server {
         backlog: bool,
     ) -> Result<(), String> {
         let line = self.line_no;
-        match req {
+        let (worker, held) = match req {
             Request::Open { sid, spec } => {
                 if self.directory.contains_key(&sid) {
                     self.complete_immediate(conn, wire::open_err(&sid, "session already open"));
@@ -646,23 +614,17 @@ impl Server {
                 // duplicate → global cap → tenant cap → breaker → spec
                 // validation.
                 let tenant = tenant_of(&sid).to_string();
-                if self.opts.tenant_max_sessions > 0 {
+                let cap = self.opts.tenant_max_sessions;
+                if cap > 0 {
                     let open = self
                         .directory
                         .keys()
                         .filter(|k| tenant_of(k) == tenant)
                         .count();
-                    if open >= self.opts.tenant_max_sessions {
+                    if open >= cap {
                         self.summary.tenant_shed += 1;
-                        self.complete_immediate(
-                            conn,
-                            wire::open_tenant_busy(
-                                &sid,
-                                &tenant,
-                                open,
-                                self.opts.tenant_max_sessions,
-                            ),
-                        );
+                        let reply = wire::open_tenant_busy(&sid, &tenant, open, cap);
+                        self.complete_immediate(conn, reply);
                         return Ok(());
                     }
                 }
@@ -695,25 +657,13 @@ impl Server {
                     self.complete_immediate(conn, wire::open_err(&sid, &e));
                     return Ok(());
                 }
-                let worker = stable_shard(tenant_of(&sid), self.pool.workers());
-                self.directory.insert(sid.clone(), worker);
-                self.summary.peak_sessions = self.summary.peak_sessions.max(self.directory.len());
-                self.submit_pool(
-                    worker,
-                    PoolRequest::Open {
-                        sid: sid.clone(),
-                        spec: spec.clone(),
-                    },
-                    Inflight {
-                        sid,
-                        line,
-                        offset,
-                        reply_to: Some((conn, 0)),
-                        kind: InKind::Open { spec },
-                        replay: false,
-                    },
-                    backlog,
-                )
+                let worker = self.place(&sid);
+                let open = ServeEvent::Open {
+                    session: sid,
+                    scheduler: spec,
+                    line,
+                };
+                (worker, Held::Record(open))
             }
             Request::Job {
                 sid,
@@ -725,174 +675,79 @@ impl Server {
                     self.complete_immediate(conn, wire::no_session("job", &sid));
                     return Ok(());
                 };
-                self.submit_pool(
-                    worker,
-                    PoolRequest::Offer {
-                        sid: sid.clone(),
-                        offer: fjs_core::service::JobOffer {
-                            arrival: t(arrival),
-                            deadline: t(deadline),
-                            length: dur(length),
-                        },
-                    },
-                    Inflight {
-                        sid,
-                        line,
-                        offset,
-                        reply_to: Some((conn, 0)),
-                        kind: InKind::Job {
-                            arrival,
-                            deadline,
-                            length,
-                        },
-                        replay: false,
-                    },
-                    backlog,
-                )
+                let job = ServeEvent::Job {
+                    session: sid,
+                    line,
+                    arrival,
+                    deadline,
+                    length,
+                };
+                (worker, Held::Record(job))
             }
             Request::Close { sid } => {
                 let Some(worker) = self.directory.remove(&sid) else {
-                    self.complete_immediate(conn, format!("err close {sid}: no such session"));
+                    self.complete_immediate(conn, wire::no_session("close", &sid));
                     return Ok(());
                 };
-                self.submit_pool(
-                    worker,
-                    PoolRequest::Close { sid: sid.clone() },
-                    Inflight {
-                        sid,
-                        line,
-                        offset,
-                        reply_to: Some((conn, 0)),
-                        kind: InKind::Close,
-                        replay: false,
-                    },
-                    backlog,
-                )
+                let close = ServeEvent::Close { session: sid, line };
+                (worker, Held::Record(close))
             }
             Request::Stats { sid } => {
                 let Some(&worker) = self.directory.get(&sid) else {
                     self.complete_immediate(conn, wire::no_session("stats", &sid));
                     return Ok(());
                 };
-                self.submit_pool(
-                    worker,
-                    PoolRequest::Stats { sid: sid.clone() },
-                    Inflight {
-                        sid,
-                        line,
-                        offset,
-                        reply_to: Some((conn, 0)),
-                        kind: InKind::Stats,
-                        replay: false,
-                    },
-                    backlog,
-                )
+                (worker, Held::Probe(sid))
             }
             Request::StatsDaemon => {
                 // Daemon-wide counters must reflect every prior request in
                 // input order, whatever the worker count.
                 self.settle_blocks(0);
                 self.complete_immediate(conn, wire::stats_daemon(&self.summary));
-                Ok(())
+                return Ok(());
             }
-        }
+        };
+        let meta = Inflight {
+            held,
+            offset,
+            reply_to: Some((conn, 0)),
+            replay: false,
+        };
+        self.submit_pool(worker, meta, backlog)
     }
 
-    /// Replays journal events recorded by a previous (killed) run through
-    /// the pool in order: every session is rebuilt to its exact pre-crash
-    /// state and the same decision-log lines are re-emitted (journal
-    /// appends and replies suppressed). Input lines at or before the last
-    /// journaled line are then skipped on re-read.
+    /// Replays journal records written by a previous (killed) run through
+    /// the live submit path, in order: every session is rebuilt to its
+    /// exact pre-crash state and the same decision-log lines are
+    /// re-emitted (journal appends and replies suppressed). Admission is
+    /// not re-decided: the records were admitted under the caps of the run
+    /// that wrote them. Input lines at or before the last journaled line
+    /// are then skipped on re-read.
     pub fn resume(&mut self, events: &[ServeEvent]) -> Result<(), String> {
         for ev in events {
-            match ev {
-                ServeEvent::Open {
-                    session, scheduler, ..
-                } => {
-                    // Mirror live admission: journaled opens were admitted,
-                    // so advance the breaker (half-open probe reservation)
-                    // with state current through all earlier events.
+            let worker = match ev {
+                ServeEvent::Open { session, .. } => {
+                    // Journaled opens were admitted, so advance the breaker
+                    // (half-open probe reservation) as live admission did,
+                    // with state current through all earlier records.
                     if self.opts.breaker.threshold > 0 {
                         self.settle_blocks(0);
                         let _ = self.breakers.admit_open(session);
                     }
-                    let worker = stable_shard(tenant_of(session), self.pool.workers());
-                    self.directory.insert(session.clone(), worker);
-                    self.summary.peak_sessions =
-                        self.summary.peak_sessions.max(self.directory.len());
-                    self.submit_pool(
-                        worker,
-                        PoolRequest::Open {
-                            sid: session.clone(),
-                            spec: scheduler.clone(),
-                        },
-                        Inflight {
-                            sid: session.clone(),
-                            line: ev.line(),
-                            offset: 0,
-                            reply_to: None,
-                            kind: InKind::Open {
-                                spec: scheduler.clone(),
-                            },
-                            replay: true,
-                        },
-                        true,
-                    )
-                    .map_err(|e| format!("resume: replaying open {session}: {e}"))?;
+                    Some(self.place(session))
                 }
-                ServeEvent::Job {
-                    session,
-                    arrival,
-                    deadline,
-                    length,
-                    ..
-                } => {
-                    if let Some(&worker) = self.directory.get(session) {
-                        self.submit_pool(
-                            worker,
-                            PoolRequest::Offer {
-                                sid: session.clone(),
-                                offer: fjs_core::service::JobOffer {
-                                    arrival: t(*arrival),
-                                    deadline: t(*deadline),
-                                    length: dur(*length),
-                                },
-                            },
-                            Inflight {
-                                sid: session.clone(),
-                                line: ev.line(),
-                                offset: 0,
-                                reply_to: None,
-                                kind: InKind::Job {
-                                    arrival: *arrival,
-                                    deadline: *deadline,
-                                    length: *length,
-                                },
-                                replay: true,
-                            },
-                            true,
-                        )?;
-                    }
-                }
-                ServeEvent::Close { session, .. } => {
-                    if let Some(worker) = self.directory.remove(session) {
-                        self.submit_pool(
-                            worker,
-                            PoolRequest::Close {
-                                sid: session.clone(),
-                            },
-                            Inflight {
-                                sid: session.clone(),
-                                line: ev.line(),
-                                offset: 0,
-                                reply_to: None,
-                                kind: InKind::DrainClose,
-                                replay: true,
-                            },
-                            true,
-                        )?;
-                    }
-                }
+                ServeEvent::Job { session, .. } => self.directory.get(session).copied(),
+                ServeEvent::Close { session, .. } => self.directory.remove(session),
+            };
+            if let Some(worker) = worker {
+                let meta = Inflight {
+                    held: Held::Record(ev.clone()),
+                    offset: 0,
+                    reply_to: None,
+                    replay: true,
+                };
+                self.submit_pool(worker, meta, true)
+                    .map_err(|e| format!("resume: replaying line {}: {e}", ev.line()))?;
             }
             self.cursor = self.cursor.max(ev.line());
         }
@@ -904,29 +759,18 @@ impl Server {
     /// Graceful drain: closes every remaining session in alphabetical
     /// order (so drains are deterministic), waits for all workers, flushes
     /// the log and syncs the journal. Called on end-of-input and on
-    /// `SIGINT`/`SIGTERM`, through [`Server::finish`].
+    /// `SIGINT`/`SIGTERM`, through [`Server::finish`]. A drain close is a
+    /// journaled `close` with no reply.
     pub fn drain(&mut self) -> Result<(), String> {
         let line = self.line_no;
-        let sids: Vec<(String, usize)> = self
-            .directory
-            .iter()
-            .map(|(s, &w)| (s.clone(), w))
-            .collect();
-        for (sid, worker) in sids {
-            self.directory.remove(&sid);
-            self.submit_pool(
-                worker,
-                PoolRequest::Close { sid: sid.clone() },
-                Inflight {
-                    sid,
-                    line,
-                    offset: 0,
-                    reply_to: None,
-                    kind: InKind::DrainClose,
-                    replay: false,
-                },
-                true,
-            )?;
+        for (session, worker) in std::mem::take(&mut self.directory) {
+            let meta = Inflight {
+                held: Held::Record(ServeEvent::Close { session, line }),
+                offset: 0,
+                reply_to: None,
+                replay: false,
+            };
+            self.submit_pool(worker, meta, true)?;
         }
         self.settle_blocks(0);
         self.log.flush().map_err(|e| format!("decision log: {e}"))?;

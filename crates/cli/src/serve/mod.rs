@@ -321,7 +321,7 @@ impl ServeSummary {
 /// and worker count renders the same bytes.
 pub(crate) mod wire {
     use fjs_core::job::JobId;
-    use fjs_core::service::{Decision, SessionError, TenantShedCause};
+    use fjs_core::service::{Decision, SessionError, SessionSnapshot, TenantShedCause};
     use fjs_core::supervise::Verdict;
     use fjs_core::time::Dur;
 
@@ -396,19 +396,11 @@ pub(crate) mod wire {
     pub fn close_ok(sid: &str, span: Dur, jobs: u64, verdict: &str) -> String {
         format!("ok close {sid} span={span} jobs={jobs} verdict={verdict}")
     }
-    #[allow(clippy::too_many_arguments)]
-    pub fn stats_ok(
-        sid: &str,
-        span: Dur,
-        pending: usize,
-        running: usize,
-        retained: usize,
-        peak_retained: usize,
-        events: usize,
-    ) -> String {
+    pub fn stats_ok(sid: &str, s: &SessionSnapshot) -> String {
         format!(
-            "ok stats {sid} span={span} pending={pending} running={running} \
-             retained={retained} peak-retained={peak_retained} events={events}"
+            "ok stats {sid} span={} pending={} running={} retained={} peak-retained={} \
+             events={}",
+            s.span, s.pending, s.running, s.retained, s.peak_retained, s.events_total
         )
     }
     pub fn decision_line(sid: &str, d: &Decision) -> String {
@@ -953,6 +945,61 @@ mod tests {
             );
             assert_eq!(pooled.summary.tenant_shed, serial.summary.tenant_shed);
         }
+    }
+
+    /// Journaled requests were admitted under the caps of the run that
+    /// wrote them, so replay must not re-decide admission: a daemon
+    /// resumed under caps of one session still rebuilds all three.
+    #[test]
+    fn replay_does_not_re_decide_admission() {
+        let dir = std::env::temp_dir().join(format!(
+            "fjs-replay-admission-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal_path = dir.join("serve.journal");
+        let script = "open t.a eager\n\
+                      open t.b lazy\n\
+                      open t.c batch\n\
+                      job t.a 0,0,2\n\
+                      job t.b 0,4,1\n\
+                      job t.c 0,3,1\n\
+                      job t.a 1,3,1\n\
+                      job t.b 2,6,2\n\
+                      job t.c 1,5,2\n\
+                      close t.a\n\
+                      close t.b\n\
+                      close t.c\n";
+        let journal = fjs_core::service::ServeJournal::create(&journal_path)
+            .unwrap()
+            .with_sync_every(1);
+        let mut live = Server::new(
+            ServeOptions::default(),
+            Sink::Mem(Vec::new()),
+            Some(journal),
+        );
+        let mut offset = 0u64;
+        for line in script.split_inclusive('\n') {
+            assert!(live.handle_line(offset, line).unwrap().starts_with("ok "));
+            offset += line.len() as u64;
+        }
+        let (_, sink) = live.finish().unwrap();
+        let reference = String::from_utf8(sink.mem().unwrap().to_vec()).unwrap();
+
+        let events = fjs_core::service::ServeJournal::load(&journal_path).unwrap();
+        assert_eq!(events.len(), 12, "every request was journaled");
+        let capped = ServeOptions {
+            max_sessions: 1,
+            tenant_max_sessions: 1,
+            ..ServeOptions::default()
+        };
+        let mut resumed = Server::new(capped, Sink::Mem(Vec::new()), None);
+        resumed.resume(&events).unwrap();
+        let (_, sink) = resumed.finish().unwrap();
+        let replayed = String::from_utf8(sink.mem().unwrap().to_vec()).unwrap();
+        assert_eq!(replayed, reference);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -28,11 +28,14 @@
 //! governor transition is keyed off exactly the events recorded here —
 //! admitted opens, admitted jobs, closes — so a resume replay re-derives
 //! it bit-identically for free, with no new record kind and no version
-//! bump. [`ServeEvent::payload_bytes`] is the replay-side hook for the
-//! byte accounting.
+//! bump. [`ServeEvent::pool_request`] is the one conversion from a record
+//! to the request that applies it, for a live request and a replayed one
+//! alike.
 
 use crate::json::{self, Line};
+use crate::service::{JobOffer, PoolRequest};
 use crate::supervise::journal::{AppendLog, Record};
+use crate::time::{Dur, Time};
 
 pub use crate::supervise::journal::DEFAULT_SYNC_EVERY;
 
@@ -102,27 +105,33 @@ impl ServeEvent {
         }
     }
 
-    /// Canonical payload bytes this event charges against its tenant's
-    /// byte quota (`None` for non-job events). Matches
-    /// [`JobOffer::canonical_bytes`](crate::service::JobOffer::canonical_bytes)
-    /// on the offer the record was journaled for, so live accounting and
-    /// replay agree exactly.
-    pub fn payload_bytes(&self) -> Option<u64> {
+    /// The pool request that applies this record: the one conversion the
+    /// live dispatcher and journal replay share.
+    pub fn pool_request(&self) -> PoolRequest {
         match self {
+            ServeEvent::Open {
+                session, scheduler, ..
+            } => PoolRequest::Open {
+                sid: session.clone(),
+                spec: scheduler.clone(),
+            },
             ServeEvent::Job {
+                session,
                 arrival,
                 deadline,
                 length,
                 ..
-            } => Some(
-                crate::service::JobOffer {
-                    arrival: crate::time::Time::new(*arrival),
-                    deadline: crate::time::Time::new(*deadline),
-                    length: crate::time::Dur::new(*length),
-                }
-                .canonical_bytes(),
-            ),
-            _ => None,
+            } => PoolRequest::Offer {
+                sid: session.clone(),
+                offer: JobOffer {
+                    arrival: Time::new(*arrival),
+                    deadline: Time::new(*deadline),
+                    length: Dur::new(*length),
+                },
+            },
+            ServeEvent::Close { session, .. } => PoolRequest::Close {
+                sid: session.clone(),
+            },
         }
     }
 }
@@ -400,13 +409,20 @@ mod tests {
             deadline: t(2.0),
             length: dur(1.25),
         };
-        assert_eq!(ev.payload_bytes(), Some(live.canonical_bytes()));
-        assert_eq!(ev.payload_bytes(), Some("0.5,2,1.25".len() as u64));
+        let PoolRequest::Offer { sid, offer } = ev.pool_request() else {
+            panic!("a job record applies as an offer");
+        };
+        assert_eq!(sid, "t.a");
+        assert_eq!(offer.canonical_bytes(), live.canonical_bytes());
+        assert_eq!(offer.canonical_bytes(), "0.5,2,1.25".len() as u64);
         let open = ServeEvent::Open {
             session: "t.a".into(),
             scheduler: "eager".into(),
             line: 1,
         };
-        assert_eq!(open.payload_bytes(), None);
+        assert!(matches!(
+            open.pool_request(),
+            PoolRequest::Open { sid, spec } if sid == "t.a" && spec == "eager"
+        ));
     }
 }

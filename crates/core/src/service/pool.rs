@@ -230,9 +230,6 @@ pub enum PoolReply {
     OfferRejected {
         /// The validation error.
         error: SessionError,
-        /// Always empty (kept so every offer outcome carries its
-        /// decision flush).
-        decisions: Vec<Decision>,
     },
     /// The session closed.
     Closed {
@@ -400,7 +397,7 @@ impl Worker {
                     Err(SessionError::Terminal(verdict)) => {
                         PoolReply::OfferPoisoned { verdict, decisions }
                     }
-                    Err(error) => PoolReply::OfferRejected { error, decisions },
+                    Err(error) => PoolReply::OfferRejected { error },
                 }
             }
             PoolRequest::Close { sid } => {

@@ -13,8 +13,8 @@
 
 use crate::io::{write_trace, Quarantine, TraceReader};
 use fjs_core::job::{Instance, Job};
+use fjs_core::supervise::contain_panic;
 use fjs_prng::SmallRng;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A corruption mode for trace ingestion.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -181,7 +181,7 @@ fn run_io_cell(
     intact: usize,
     damaged: usize,
 ) -> IoChaosCell {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
+    let outcome = contain_panic(|| {
         let mut reader = TraceReader::new(corrupted.as_bytes()).with_policy(policy);
         let mut ok = 0usize;
         let mut errors = Vec::new();
@@ -197,17 +197,17 @@ fn run_io_cell(
                 Err(e) => errors.push(e),
             }
         }
-        (
+        Ok((
             ok,
             errors,
             ok_after_error,
             reader.stats(),
             reader.dead_letters().len(),
-        )
-    }));
+        ))
+    });
     let (ok, errors, ok_after_error, stats, dead) = match outcome {
         Ok(r) => r,
-        Err(_) => return fail(mode, policy, "reader panicked".to_string()),
+        Err(verdict) => return fail(mode, policy, verdict.to_string()),
     };
     match policy {
         Quarantine::Halt => {
