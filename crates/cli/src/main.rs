@@ -1,30 +1,8 @@
-//! The `fjs` experiment runner.
-//!
-//! ```text
-//! fjs list                 # show the experiment registry
-//! fjs e3                   # run one experiment (quick profile)
-//! fjs e3 --full            # full parameter grid
-//! fjs all --full           # everything (regenerates EXPERIMENTS.md data)
-//! fjs e5 --csv out/        # additionally write each table as CSV
-//! fjs gantt batch+         # visualize a scheduler on a demo workload
-//! fjs trace jobs.csv       # run every scheduler on your own CSV trace
-//! fjs audit profit         # run a scheduler and audit it against its rules
-//! fjs chaos                # fault-injection matrix over every scheduler
-//! fjs chaos batch+         # fault-injection matrix for one scheduler
-//! fjs stats batch+         # engine RunStats counters for one scheduler
-//! fjs stats all --log-jsonl runs.jsonl   # counters for all, logged as JSONL
-//! fjs bench --json new.json              # time the bench suite, write its records
-//! fjs bench-diff old.json new.json       # gate new.json against old.json
-//! fjs conform all          # property-based conformance: every scheduler × oracle
-//! fjs conform uniform      # the uniform-jobs family on the unit-length deck
-//! fjs conform batch+ --cases 256 --seed 7    # one scheduler, deeper run
-//! fjs conform chaos        # harness self-test: must fail and shrink
-//! fjs conform all --journal c.jsonl          # checkpoint every finished cell
-//! fjs conform all --journal c.jsonl --resume # skip journalled cells after a kill
-//! fjs soak all --cells 256 --journal s.jsonl # supervised long-running sweep
-//! fjs soak batch --minutes 10 --journal s.jsonl --resume  # continue after Ctrl-C
-//! fjs soak batch --poison hang --watchdog-events 20000 --journal p.jsonl
-//! ```
+//! The `fjs` experiment runner: `fjs e3` regenerates one figure or
+//! theorem of the paper as a table, `fjs all --full` all of them, and the
+//! other commands run the harnesses and the `serve` daemon (see README).
+//! `fjs` with no arguments prints the usage, rendered from the one command
+//! table, [`COMMANDS`], that also checks every command line.
 //!
 //! Exit codes: 0 success, 1 runtime failure (failed audit, unsound chaos
 //! cell, conformance oracle violation, bench regression past threshold or
@@ -32,7 +10,10 @@
 //! usage error.
 
 use fjs_cli::experiments::{all, by_id, Experiment, Profile};
-use fjs_core::supervise::DEFAULT_WATCHDOG_EVENTS;
+use fjs_cli::fuzz::{Misbehave, MISBEHAVE_MODES};
+use fjs_core::supervise::{PoisonMode, DEFAULT_WATCHDOG_EVENTS};
+use fjs_testkit::DeckKind;
+use fjs_workloads::Quarantine;
 use std::io::{ErrorKind, Write as _};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -78,40 +59,322 @@ enum CliError {
 }
 
 impl CliError {
-    fn usage() -> Self {
-        CliError::Usage(None)
+    fn usage(msg: impl Into<String>) -> Self {
+        CliError::Usage(Some(msg.into()))
     }
 }
 
-const USAGE: &str = "usage: fjs <list | all | e1..e15> [--full] [--csv <dir>]\n\
- \u{20}      fjs gantt [scheduler] [seed]\n\
- \u{20}      fjs trace <file.csv>\n\
- \u{20}      fjs audit <batch|batch+|profit> [seed]\n\
- \u{20}      fjs chaos [scheduler] [--watchdog-events <n>]\n\
- \u{20}      fjs stats <scheduler|all> [--n <jobs>] [--seed <s>] [--log-jsonl <file>]\n\
- \u{20}      fjs bench [--json <file>] [--quick]\n\
- \u{20}      fjs bench-diff <old.json> <new.json> [--max-regress <pct>]   (default 20)\n\
- \u{20}      fjs conform <scheduler|all|uniform|chaos> [--cases <n>] [--seed <s>] [--quick]\n\
- \u{20}                  [--deck main|uniform] [--corpus <dir>] [--journal <file>] [--resume]\n\
- \u{20}                  [--watchdog-events <n>] [--shards <n>]\n\
- \u{20}      fjs soak <scheduler|all|chaos> --journal <file> [--cells <n>] [--seed <s>]\n\
- \u{20}               [--seconds <s> | --minutes <m>] [--resume] [--watchdog-events <n>]\n\
- \u{20}               [--poison panic|hang] [--trace <file.csv>] [--throttle-ms <n>] [--shards <n>]\n\
- \u{20}      fjs serve [--input <file> | --socket <path> and/or --tcp <addr>] [--log <file>]\n\
- \u{20}                [--journal <file>] [--resume] [--workers <n>] [--max-sessions <n>]\n\
- \u{20}                [--max-pending <n>] [--watchdog-events <n>] [--quarantine halt|skip|dead-letter]\n\
- \u{20}                [--checkpoint-every <n>] [--throttle-ms <n>] [--stats-jsonl <file>]\n\
- \u{20}                [--tenant-max-sessions <n>] [--tenant-max-pending <n>] [--tenant-max-bytes <n>]\n\
- \u{20}                [--breaker-threshold <n>] [--breaker-cooldown <events>]\n\
- \u{20}                [--max-frame-bytes <n>] [--writer-queue <n>]\n\
- \u{20}      fjs loadgen (--emit <file|-> | --socket <path> | --tcp <addr>) [--sessions <n>]\n\
- \u{20}                [--jobs <n>] [--rate <r>] [--seed <s>] [--scheduler <spec>] [--mean-length <x>]\n\
- \u{20}                [--laxity <x>] [--concurrency <k>] [--json <file>] [--sid-prefix <p>]\n\
- \u{20}                [--misbehave torn|garbage|giant|partial|disconnect|slowloris]\n\
- \u{20}      fjs fuzz-serve (--socket <path> and/or --tcp <addr>) [--seed <s>] [--connections <n>]\n\
- \u{20}                [--frames <n>] [--scheduler <spec>] [--emit-clean <file>]\n\
- Reproduces the figures/theorems of Ren & Tang, SPAA 2017 (see DESIGN.md).\n\
- Exit codes: 0 ok, 1 runtime failure, 2 usage error.";
+/// What the value of a flag or target must be. A numeric kind carries the
+/// noun its usage error names (`--n: 'x' is not a job count`), so the noun
+/// of a range that starts above 0 says so.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// A flag that takes no value.
+    Switch,
+    /// `Uint(min, max, noun)`: an unsigned integer in `min..=max`. A
+    /// bounded `max` is printed after the noun.
+    Uint(u64, u64, &'static str),
+    /// `Real(positive, noun)`: a finite `f64` above 0 if `positive`, else
+    /// at least 0.
+    Real(bool, &'static str),
+    /// Any text (a path, an address, a spec), shown as `<meta>`.
+    Text(&'static str),
+    /// One of the labels `labels(0)`, `labels(1)`, … up to the first
+    /// `None`, read off the enum that owns them.
+    Choice(fn(usize) -> Option<&'static str>),
+}
+
+const NUM: Kind = Kind::Uint(0, u64::MAX, "a number");
+const COUNT: Kind = Kind::Uint(0, u64::MAX, "a count");
+const POSITIVE: Kind = Kind::Uint(1, u64::MAX, "a positive number");
+const SEED: Kind = Kind::Uint(0, u64::MAX, "a seed");
+const ON: Kind = Kind::Switch;
+const TEXT: Kind = Kind::Text("text");
+const FILE: Kind = Kind::Text("file");
+const PATH: Kind = Kind::Text("path");
+const ADDR: Kind = Kind::Text("addr");
+const SPEC: Kind = Kind::Text("spec");
+const WATCHDOG: Arg = Arg(
+    "--watchdog-events",
+    Kind::Uint(1, u64::MAX, "a positive event count"),
+);
+
+fn labels(of: fn(usize) -> Option<&'static str>) -> impl Iterator<Item = &'static str> {
+    (0..).map_while(of)
+}
+
+impl Kind {
+    /// Accepts `raw` as a value of this kind, or names `who` (the flag, or
+    /// the command for a target) and `raw` in a usage error.
+    fn check(self, who: &str, raw: &str) -> Result<(), CliError> {
+        let ok = match self {
+            Kind::Switch | Kind::Text(_) => true,
+            Kind::Uint(min, max, _) => raw.parse().is_ok_and(|n| (min..=max).contains(&n)),
+            Kind::Real(positive, _) => raw
+                .parse()
+                .is_ok_and(|x: f64| x.is_finite() && (x > 0.0 || (!positive && x == 0.0))),
+            Kind::Choice(of) => labels(of).any(|l| l == raw),
+        };
+        let what = match self {
+            _ if ok => return Ok(()),
+            Kind::Uint(min, max, noun) if max < u64::MAX => format!("{noun} ({min} to {max})"),
+            Kind::Uint(_, _, noun) | Kind::Real(_, noun) => noun.to_string(),
+            Kind::Choice(of) => format!("one of {}", labels(of).collect::<Vec<_>>().join(", ")),
+            Kind::Switch | Kind::Text(_) => unreachable!("every text is accepted"),
+        };
+        Err(CliError::usage(format!("{who}: '{raw}' is not {what}")))
+    }
+
+    /// The value as the usage text shows it after the flag's name.
+    fn meta(self) -> String {
+        match self {
+            Kind::Switch => String::new(),
+            Kind::Uint(..) => " <n>".into(),
+            Kind::Real(..) => " <x>".into(),
+            Kind::Text(meta) => format!(" <{meta}>"),
+            Kind::Choice(of) => format!(" {}", labels(of).collect::<Vec<_>>().join("|")),
+        }
+    }
+}
+
+/// A `--flag`, or a target by the name the usage text shows, and the kind
+/// of its value.
+struct Arg(&'static str, Kind);
+
+/// One `fjs` command: its targets, of which the first `required` must be
+/// given, its flags, and the function that runs it.
+struct Command {
+    name: &'static str,
+    targets: &'static [Arg],
+    required: usize,
+    flags: &'static [Arg],
+    run: fn(&Args<'_>) -> Result<(), CliError>,
+}
+
+/// The usage name of the experiment registry's ids; `main` dispatches
+/// every id to this entry.
+const EXPERIMENT_IDS: &str = "e1..e15";
+const EXPERIMENT_FLAGS: &[Arg] = &[Arg("--full", ON), Arg("--csv", Kind::Text("dir"))];
+
+/// Every `fjs` command. `main` dispatches through it, [`parse`] checks
+/// each command line against it and [`usage`] renders it.
+#[rustfmt::skip]
+static COMMANDS: &[Command] = &[
+    Command { name: "list", run: cmd_list, required: 0, targets: &[], flags: &[] },
+    Command { name: "all", run: cmd_experiments, required: 0, targets: &[],
+        flags: EXPERIMENT_FLAGS },
+    Command { name: EXPERIMENT_IDS, run: cmd_experiments, required: 0, targets: &[],
+        flags: EXPERIMENT_FLAGS },
+    Command { name: "gantt", run: cmd_gantt, required: 0,
+        targets: &[Arg("scheduler", TEXT), Arg("seed", SEED)], flags: &[] },
+    Command { name: "trace", run: cmd_trace, required: 1, targets: &[Arg("file.csv", TEXT)],
+        flags: &[] },
+    Command { name: "audit", run: cmd_audit, required: 0,
+        targets: &[Arg("batch|batch+|profit", TEXT), Arg("seed", SEED)], flags: &[] },
+    Command { name: "chaos", run: cmd_chaos, required: 0, targets: &[Arg("scheduler", TEXT)],
+        flags: &[WATCHDOG] },
+    Command { name: "stats", run: cmd_stats, required: 0, targets: &[Arg("scheduler|all", TEXT)],
+        flags: &[
+            Arg("--n", Kind::Uint(0, u64::MAX, "a job count")), Arg("--seed", SEED),
+            Arg("--log-jsonl", FILE),
+        ] },
+    Command { name: "bench", run: cmd_bench, required: 0, targets: &[],
+        flags: &[Arg("--json", FILE), Arg("--quick", ON)] },
+    Command { name: "bench-diff", run: cmd_bench_diff, required: 2,
+        targets: &[Arg("old.json", TEXT), Arg("new.json", TEXT)],
+        flags: &[Arg("--max-regress", Kind::Real(false, "a non-negative percentage"))] },
+    Command { name: "conform", run: cmd_conform, required: 0,
+        targets: &[Arg("scheduler|all|uniform|chaos", TEXT)],
+        flags: &[
+            Arg("--cases", COUNT), Arg("--seed", SEED), Arg("--quick", ON),
+            Arg("--deck", Kind::Choice(|i| DeckKind::ALL.get(i).map(DeckKind::name))),
+            Arg("--corpus", Kind::Text("dir")), Arg("--journal", FILE), Arg("--resume", ON),
+            WATCHDOG, Arg("--shards", COUNT),
+        ] },
+    Command { name: "soak", run: cmd_soak, required: 0,
+        targets: &[Arg("scheduler|all|chaos", TEXT)],
+        flags: &[
+            Arg("--journal", FILE), Arg("--cells", COUNT), Arg("--seed", SEED),
+            Arg("--seconds", NUM), Arg("--minutes", NUM), Arg("--resume", ON), WATCHDOG,
+            Arg("--poison", Kind::Choice(|i| PoisonMode::ALL.get(i).map(PoisonMode::label))),
+            Arg("--trace", Kind::Text("file.csv")), Arg("--throttle-ms", NUM),
+            Arg("--shards", COUNT),
+        ] },
+    Command { name: "serve", run: cmd_serve, required: 0, targets: &[],
+        flags: &[
+            Arg("--input", FILE), Arg("--socket", PATH), Arg("--tcp", ADDR), Arg("--log", FILE),
+            Arg("--journal", FILE), Arg("--resume", ON), Arg("--workers", NUM),
+            Arg("--max-sessions", NUM), Arg("--max-pending", NUM), WATCHDOG,
+            Arg("--quarantine", Kind::Choice(|i| Quarantine::ALL.get(i).map(Quarantine::label))),
+            Arg("--checkpoint-every", NUM), Arg("--throttle-ms", NUM),
+            Arg("--stats-jsonl", FILE), Arg("--tenant-max-sessions", NUM),
+            Arg("--tenant-max-pending", NUM), Arg("--tenant-max-bytes", NUM),
+            Arg("--breaker-threshold", Kind::Uint(0, u32::MAX as u64, "a failure count")),
+            Arg("--breaker-cooldown", NUM), Arg("--max-frame-bytes", POSITIVE),
+            Arg("--writer-queue", POSITIVE),
+        ] },
+    Command { name: "loadgen", run: cmd_loadgen, required: 0, targets: &[],
+        flags: &[
+            Arg("--emit", Kind::Text("file|-")), Arg("--socket", PATH), Arg("--tcp", ADDR),
+            Arg("--sessions", NUM), Arg("--jobs", NUM),
+            Arg("--rate", Kind::Real(true, "a positive rate")), Arg("--seed", SEED),
+            Arg("--scheduler", SPEC), Arg("--mean-length", Kind::Real(true, "a positive length")),
+            Arg("--laxity", Kind::Real(false, "a non-negative laxity")),
+            Arg("--concurrency", POSITIVE), Arg("--json", FILE),
+            Arg("--sid-prefix", Kind::Text("p")),
+            Arg("--misbehave", Kind::Choice(|i| MISBEHAVE_MODES.get(i).map(Misbehave::name))),
+        ] },
+    Command { name: "fuzz-serve", run: cmd_fuzz_serve, required: 0, targets: &[],
+        flags: &[
+            Arg("--socket", PATH), Arg("--tcp", ADDR), Arg("--seed", SEED),
+            Arg("--connections", POSITIVE), Arg("--frames", NUM), Arg("--scheduler", SPEC),
+            Arg("--emit-clean", FILE),
+        ] },
+];
+
+/// A command line checked against its [`Command`]: the value of each flag
+/// and target as typed, in table order with the flags first (a switch
+/// holds its own name). Every value has passed its kind's check.
+struct Args<'a> {
+    cmd: &'a str,
+    spec: &'static Command,
+    values: Vec<Option<&'a str>>,
+}
+
+impl<'a> Args<'a> {
+    /// The slot and the declaration of flag or target `name`.
+    fn slot(&self, name: &str) -> (usize, &'static Arg) {
+        let spec = self.spec;
+        let mut all = spec.flags.iter().chain(spec.targets).enumerate();
+        all.find(|(_, a)| a.0 == name)
+            .unwrap_or_else(|| panic!("`fjs {}` declares no {name}", spec.name))
+    }
+
+    /// The value given for `name`, as typed.
+    fn text(&self, name: &str) -> Option<&'a str> {
+        self.values[self.slot(name).0]
+    }
+
+    /// The first target, if one was given.
+    fn target(&self) -> Option<&'a str> {
+        self.values[self.spec.flags.len()..]
+            .first()
+            .copied()
+            .flatten()
+    }
+
+    /// Whether switch `name` was given.
+    fn on(&self, name: &str) -> bool {
+        self.text(name).is_some()
+    }
+
+    /// The value given for `name`, parsed (its kind's check parsed it once
+    /// already).
+    fn get<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.text(name).and_then(|v| v.parse().ok())
+    }
+
+    /// Overwrites `field` with the value given for `name`, if any.
+    fn set<T: std::str::FromStr>(&self, name: &str, field: &mut T) {
+        if let Some(v) = self.get(name) {
+            *field = v;
+        }
+    }
+
+    /// The member of `all` whose label was given for choice `name`.
+    fn choice<T: Copy>(&self, name: &str, all: &[T]) -> Option<T> {
+        let (slot, arg) = self.slot(name);
+        let Kind::Choice(of) = arg.1 else {
+            panic!("{name} is not a choice")
+        };
+        let given = self.values[slot]?;
+        labels(of).position(|l| l == given).map(|i| all[i])
+    }
+
+    /// `--watchdog-events`: the engine-event budget of every watchdogged
+    /// run.
+    fn watchdog_events(&self) -> usize {
+        self.get(WATCHDOG.0).unwrap_or(DEFAULT_WATCHDOG_EVENTS)
+    }
+}
+
+/// Checks `args`, the tokens after the command's name, against `spec`
+/// before any work starts. A `--flag` takes the next token as its value
+/// unless it is a switch; any other token fills the next target. A stray
+/// token, an unknown or repeated flag, a missing value or target, and a
+/// value its kind rejects are usage errors that name the token or flag.
+fn parse<'a>(
+    spec: &'static Command,
+    cmd: &'a str,
+    args: &'a [String],
+) -> Result<Args<'a>, CliError> {
+    let mut values = vec![None; spec.flags.len() + spec.targets.len()];
+    let mut targets = 0;
+    let mut tokens = args.iter().map(String::as_str);
+    while let Some(tok) = tokens.next() {
+        let stray = || CliError::usage(format!("{cmd}: unexpected argument '{tok}'"));
+        let (slot, value) = if tok.starts_with("--") {
+            let slot = spec
+                .flags
+                .iter()
+                .position(|f| f.0 == tok)
+                .ok_or_else(stray)?;
+            if values[slot].is_some() {
+                return Err(CliError::usage(format!("{cmd}: {tok} given twice")));
+            }
+            let value = match spec.flags[slot].1 {
+                Kind::Switch => tok,
+                kind => {
+                    let v = tokens.next();
+                    let v = v.ok_or_else(|| CliError::usage(format!("{tok} needs a value")))?;
+                    kind.check(tok, v)?;
+                    v
+                }
+            };
+            (slot, value)
+        } else {
+            let target = spec.targets.get(targets).ok_or_else(stray)?;
+            target.1.check(cmd, tok)?;
+            targets += 1;
+            (spec.flags.len() + targets - 1, tok)
+        };
+        values[slot] = Some(value);
+    }
+    if let Some(missing) = spec.targets[..spec.required].get(targets) {
+        return Err(CliError::usage(format!("{cmd}: missing <{}>", missing.0)));
+    }
+    Ok(Args { cmd, spec, values })
+}
+
+/// The usage text, rendered from [`COMMANDS`] and wrapped at 100 columns.
+fn usage() -> String {
+    let mut text = String::new();
+    for (n, c) in COMMANDS.iter().enumerate() {
+        let head = format!("{:7}fjs {}", if n == 0 { "usage:" } else { "" }, c.name);
+        let targets = c.targets.iter().enumerate();
+        let targets = targets.map(|(i, t)| match i < c.required {
+            true => format!("<{}>", t.0),
+            false => format!("[{}]", t.0),
+        });
+        let flags = c.flags.iter().map(|f| format!("[{}{}]", f.0, f.1.meta()));
+        let mut line = head.clone();
+        for word in targets.chain(flags) {
+            if line.len() + 1 + word.len() > 100 {
+                text += &line;
+                text += "\n";
+                line = " ".repeat(head.len());
+            }
+            line += " ";
+            line += &word;
+        }
+        text += &line;
+        text += "\n";
+    }
+    text + "Flags may come in any order. A stray token, an unknown or repeated flag, a missing\n\
+            value or a value out of range is a usage error.\n\
+            Reproduces the figures/theorems of Ren & Tang, SPAA 2017 (see DESIGN.md).\n\
+            Exit codes: 0 ok, 1 runtime failure, 2 usage error."
+}
 
 fn pick_scheduler(name: &str) -> Result<fjs_schedulers::SchedulerKind, CliError> {
     let lower = name.to_ascii_lowercase();
@@ -121,16 +384,16 @@ fn pick_scheduler(name: &str) -> Result<fjs_schedulers::SchedulerKind, CliError>
         lower.as_str()
     };
     fjs_schedulers::SchedulerKind::from_short_name(canonical).ok_or_else(|| {
-        CliError::Usage(Some(format!(
+        CliError::usage(format!(
             "unknown scheduler '{name}' (try eager/lazy/batch/batch+/cdb/profit/doubler/\
              random/threshold/semicdb)"
-        )))
+        ))
     })
 }
 
-fn cmd_gantt(args: &[String]) -> Result<(), CliError> {
-    let kind = pick_scheduler(args.first().map(String::as_str).unwrap_or("batch+"))?;
-    let seed: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(42);
+fn cmd_gantt(a: &Args<'_>) -> Result<(), CliError> {
+    let kind = pick_scheduler(a.target().unwrap_or("batch+"))?;
+    let seed: u64 = a.get("seed").unwrap_or(42);
     let inst = fjs_workloads::Scenario::BurstyAnalytics.generate(24, seed);
     let out = kind.run_on(&inst);
     let metrics = fjs_core::metrics::schedule_metrics(&out.instance, &out.schedule);
@@ -156,11 +419,11 @@ fn cmd_gantt(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_audit(args: &[String]) -> Result<(), CliError> {
+fn cmd_audit(a: &Args<'_>) -> Result<(), CliError> {
     use fjs_core::sim::{run_static, Clairvoyance};
     use fjs_schedulers::FlagRecorder;
-    let which = args.first().map(String::as_str).unwrap_or("batch+");
-    let seed: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(7);
+    let which = a.target().unwrap_or("batch+");
+    let seed: u64 = a.get("seed").unwrap_or(7);
     let inst = fjs_workloads::Scenario::CloudBatch.generate(300, seed);
     let verdict = match which {
         "batch" => {
@@ -187,9 +450,9 @@ fn cmd_audit(args: &[String]) -> Result<(), CliError> {
             .map(|()| (out.span, s.flag_jobs().len()))
         }
         other => {
-            return Err(CliError::Usage(Some(format!(
+            return Err(CliError::usage(format!(
                 "cannot audit '{other}' (try batch, batch+, profit)"
-            ))));
+            )));
         }
     };
     match verdict {
@@ -204,10 +467,8 @@ fn cmd_audit(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-fn cmd_trace(args: &[String]) -> Result<(), CliError> {
-    let Some(path) = args.first() else {
-        return Err(CliError::usage());
-    };
+fn cmd_trace(a: &Args<'_>) -> Result<(), CliError> {
+    let path = a.target().unwrap_or_default();
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::Runtime(format!("cannot read {path}: {e}")))?;
     let trace = fjs_workloads::parse_trace(&text)
@@ -242,17 +503,15 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_chaos(args: &[String]) -> Result<(), CliError> {
+fn cmd_chaos(a: &Args<'_>) -> Result<(), CliError> {
     use fjs_schedulers::chaos::run_chaos_matrix;
     use fjs_schedulers::SchedulerKind;
 
-    let mut args = args.to_vec();
-    let watchdog = take_watchdog_events(&mut args)?;
-    let kinds = match leftover("chaos", &args, 1)? {
+    let kinds = match a.target() {
         Some(name) => vec![pick_scheduler(name)?],
         None => SchedulerKind::registered_set(),
     };
-    let report = run_chaos_matrix(&kinds, watchdog);
+    let report = run_chaos_matrix(&kinds, a.watchdog_events());
 
     let env_total = fjs_core::faults::EnvFaultMode::ALL.len();
     let sched_total = fjs_core::faults::SchedFaultMode::ALL.len();
@@ -337,93 +596,15 @@ fn cmd_chaos(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-/// Removes a boolean `--flag` from `args`, returning whether it was present.
-fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
-    match args.iter().position(|a| a == flag) {
-        Some(i) => {
-            args.remove(i);
-            true
-        }
-        None => false,
-    }
-}
-
-/// Pulls the value of `--flag <value>` out of `args`, removing both tokens.
-fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, CliError> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => {
-            if i + 1 >= args.len() {
-                return Err(CliError::Usage(Some(format!("{flag} needs a value"))));
-            }
-            let value = args.remove(i + 1);
-            args.remove(i);
-            Ok(Some(value))
-        }
-    }
-}
-
-/// Parses the number a `flag` was given; anything else is a usage error
-/// that names the flag.
-fn parse_num(flag: &str, v: String) -> Result<u64, CliError> {
-    v.parse()
-        .map_err(|_| CliError::Usage(Some(format!("{flag}: '{v}' is not a number"))))
-}
-
-/// What is left of a command's `args` once its flags are taken: at most
-/// `max` targets (0 or 1), and no leftover `--flag`. Any other token is a
-/// usage error that names it. Returns the target, if there is one.
-fn leftover<'a>(cmd: &str, args: &'a [String], max: usize) -> Result<Option<&'a str>, CliError> {
-    let stray = args
-        .iter()
-        .enumerate()
-        .find(|&(i, a)| i >= max || a.starts_with("--"));
-    if let Some((_, extra)) = stray {
-        return Err(CliError::Usage(Some(format!(
-            "{cmd}: unexpected argument '{extra}'"
-        ))));
-    }
-    Ok(args.first().map(String::as_str))
-}
-
-/// Pulls `--watchdog-events <n>` out of `args`: the engine-event budget of
-/// every watchdogged run (default [`DEFAULT_WATCHDOG_EVENTS`]). A budget of
-/// 0 would cut every run off at its first event, so it is a usage error.
-fn take_watchdog_events(args: &mut Vec<String>) -> Result<usize, CliError> {
-    const FLAG: &str = "--watchdog-events";
-    match take_flag_value(args, FLAG)? {
-        None => Ok(DEFAULT_WATCHDOG_EVENTS),
-        Some(v) => match v.parse() {
-            Ok(n) if n > 0 => Ok(n),
-            _ => Err(CliError::Usage(Some(format!(
-                "{FLAG}: '{v}' is not a positive event count"
-            )))),
-        },
-    }
-}
-
-fn cmd_stats(args: &[String]) -> Result<(), CliError> {
+fn cmd_stats(a: &Args<'_>) -> Result<(), CliError> {
     use fjs_core::sim::{run_with_config, SimConfig, StaticEnv};
     use fjs_schedulers::SchedulerKind;
     use fjs_workloads::Scenario;
 
-    let mut args = args.to_vec();
-    let n: usize = match take_flag_value(&mut args, "--n")? {
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::Usage(Some(format!("--n: '{v}' is not a job count"))))?,
-        None => 500,
-    };
-    let seed: u64 = match take_flag_value(&mut args, "--seed")? {
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::Usage(Some(format!("--seed: '{v}' is not a seed"))))?,
-        None => 42,
-    };
-    let jsonl_path = take_flag_value(&mut args, "--log-jsonl")?;
-
-    let which = leftover("stats", &args, 1)?.unwrap_or("all");
-    let kinds = match which {
+    let n: usize = a.get("--n").unwrap_or(500);
+    let seed: u64 = a.get("--seed").unwrap_or(42);
+    let jsonl_path = a.text("--log-jsonl");
+    let kinds = match a.target().unwrap_or("all") {
         "all" => SchedulerKind::full_set(),
         name => vec![pick_scheduler(name)?],
     };
@@ -503,7 +684,7 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
         let mut f = OpenOptions::new()
             .create(true)
             .append(true)
-            .open(&path)
+            .open(path)
             .map_err(|e| CliError::Runtime(format!("cannot open {path}: {e}")))?;
         f.write_all(jsonl.as_bytes())
             .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
@@ -560,13 +741,9 @@ fn run_stats_jsonl_record(
 /// Runs the in-process bench suite, prints the per-case report lines and
 /// optionally writes the schema-v1 JSON (`--json <file>`, `-` for stdout).
 /// `--quick` takes fewer samples per case; every case's input is the same.
-fn cmd_bench(args: &[String]) -> Result<(), CliError> {
-    let mut args = args.to_vec();
-    let json_path = take_flag_value(&mut args, "--json")?;
-    let quick = take_switch(&mut args, "--quick");
-    leftover("bench", &args, 0)?;
+fn cmd_bench(a: &Args<'_>) -> Result<(), CliError> {
     fjs_opt::cache::reset();
-    let report = fjs_cli::bench::run_bench_suite(quick);
+    let report = fjs_cli::bench::run_bench_suite(a.on("--quick"));
     let cache = fjs_opt::cache::stats();
     if cache.hits + cache.misses > 0 {
         eprintln!(
@@ -577,7 +754,7 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
             cache.entries,
         );
     }
-    match json_path.as_deref() {
+    match a.text("--json") {
         None => {}
         Some("-") => out!("{}", report.to_json()),
         Some(path) => {
@@ -589,34 +766,12 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_bench_diff(args: &[String]) -> Result<(), CliError> {
+fn cmd_bench_diff(a: &Args<'_>) -> Result<(), CliError> {
     use fjs_analysis::benchjson::{diff_reports, BenchReport};
 
-    let mut args = args.to_vec();
-    let threshold = match take_flag_value(&mut args, "--max-regress")? {
-        Some(v) => {
-            let p: f64 = v.parse().map_err(|_| {
-                CliError::Usage(Some(format!("--max-regress: '{v}' is not a number")))
-            })?;
-            if !(p.is_finite() && p >= 0.0) {
-                return Err(CliError::Usage(Some(format!(
-                    "--max-regress must be a non-negative percentage, got {v}"
-                ))));
-            }
-            p / 100.0
-        }
-        None => 0.2,
-    };
-    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
-        return Err(CliError::Usage(Some(format!(
-            "bench-diff: unknown option '{flag}'"
-        ))));
-    }
-    let [old_path, new_path] = args.as_slice() else {
-        return Err(CliError::Usage(Some(
-            "bench-diff needs exactly two files: <old.json> <new.json>".into(),
-        )));
-    };
+    let threshold = a.get("--max-regress").unwrap_or(20.0) / 100.0;
+    let old_path = a.text("old.json").unwrap_or_default();
+    let new_path = a.text("new.json").unwrap_or_default();
     let load = |path: &str| -> Result<BenchReport, CliError> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| CliError::Runtime(format!("cannot read {path}: {e}")))?;
@@ -695,86 +850,54 @@ fn cmd_bench_diff(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-fn cmd_conform(args: &[String]) -> Result<(), CliError> {
+fn cmd_conform(a: &Args<'_>) -> Result<(), CliError> {
     use fjs_core::supervise::Journal;
     use fjs_testkit::{
         all_targets, row, run_conformance_with, save_entry, set_watchdog_events, uniform_targets,
-        ConformConfig, ConformHooks, CorpusEntry, DeckKind, Expectation, Failure, Target,
+        ConformConfig, ConformHooks, CorpusEntry, Expectation, Failure, Target,
     };
     use std::sync::Mutex;
 
-    let mut args = args.to_vec();
-    let cases: usize = match take_flag_value(&mut args, "--cases")? {
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::Usage(Some(format!("--cases: '{v}' is not a count"))))?,
-        None => ConformConfig::default().cases,
-    };
-    let base_seed: u64 = match take_flag_value(&mut args, "--seed")? {
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::Usage(Some(format!("--seed: '{v}' is not a seed"))))?,
-        None => ConformConfig::default().base_seed,
-    };
-    let quick = take_switch(&mut args, "--quick");
-    let corpus_flag = take_flag_value(&mut args, "--corpus")?;
-    let deck_flag = take_flag_value(&mut args, "--deck")?;
-    set_watchdog_events(take_watchdog_events(&mut args)?);
-    let shards: usize = match take_flag_value(&mut args, "--shards")? {
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::Usage(Some(format!("--shards: '{v}' is not a count"))))?,
-        None => 0,
-    };
-    let journal_path = take_flag_value(&mut args, "--journal")?;
-    let resume = take_switch(&mut args, "--resume");
-    if resume && journal_path.is_none() {
-        return Err(CliError::Usage(Some(
-            "--resume needs --journal <file>".into(),
-        )));
+    let defaults = ConformConfig::default();
+    let base_seed: u64 = a.get("--seed").unwrap_or(defaults.base_seed);
+    let quick = a.on("--quick");
+    set_watchdog_events(a.watchdog_events());
+    let resume = a.on("--resume");
+    if resume && a.text("--journal").is_none() {
+        return Err(CliError::usage("--resume needs --journal <file>"));
     }
 
-    let which = leftover("conform", &args, 1)?.unwrap_or("all");
-    let (targets, default_deck): (Vec<Target>, DeckKind) = match which {
+    let (targets, default_deck): (Vec<Target>, DeckKind) = match a.target().unwrap_or("all") {
         "all" => (all_targets(), DeckKind::Main),
         "uniform" => (uniform_targets(), DeckKind::Uniform),
         "chaos" => (vec![Target::default_chaos()], DeckKind::Main),
         name => (
             vec![Target::from_name(name).ok_or_else(|| {
-                CliError::Usage(Some(format!(
+                CliError::usage(format!(
                     "unknown conformance target '{name}' (a scheduler short name, 'all', \
                      'uniform', 'chaos', or 'chaos:<mode>:<scheduler>')"
-                )))
+                ))
             })?],
             DeckKind::Main,
         ),
     };
-    let deck = match deck_flag.as_deref() {
-        None => default_deck,
-        Some("main") => DeckKind::Main,
-        Some("uniform") => DeckKind::Uniform,
-        Some(v) => {
-            return Err(CliError::Usage(Some(format!(
-                "--deck: '{v}' is not a deck ('main' or 'uniform')"
-            ))))
-        }
-    };
+    let deck = a.choice("--deck", &DeckKind::ALL).unwrap_or(default_deck);
     // Uniform-deck counterexamples live in their own corpus directory so
     // the replay suites stay per-family.
-    let corpus_dir = corpus_flag.unwrap_or_else(|| match deck {
-        DeckKind::Main => "tests/corpus".into(),
-        DeckKind::Uniform => "tests/corpus/uniform".into(),
+    let corpus_dir = a.text("--corpus").unwrap_or(match deck {
+        DeckKind::Main => "tests/corpus",
+        DeckKind::Uniform => "tests/corpus/uniform",
     });
 
     let config = ConformConfig {
-        cases,
+        cases: a.get("--cases").unwrap_or(defaults.cases),
         deck,
         base_seed,
         quick,
-        shards,
-        ..ConformConfig::default()
+        shards: a.get("--shards").unwrap_or(0),
+        ..defaults
     };
-    let journal = match &journal_path {
+    let journal = match a.text("--journal") {
         None => None,
         Some(p) => {
             let j = if resume {
@@ -788,7 +911,7 @@ fn cmd_conform(args: &[String]) -> Result<(), CliError> {
     };
     // Flush each counterexample to the corpus the moment it is shrunk, so
     // a killed sweep keeps everything found up to that point.
-    let dir = std::path::PathBuf::from(&corpus_dir);
+    let dir = std::path::PathBuf::from(corpus_dir);
     let mut on_failure = |f: &Failure| {
         let entry = CorpusEntry {
             target: f.target.name(),
@@ -882,94 +1005,60 @@ fn cmd_conform(args: &[String]) -> Result<(), CliError> {
     )))
 }
 
-fn cmd_soak(args: &[String]) -> Result<(), CliError> {
+fn cmd_soak(a: &Args<'_>) -> Result<(), CliError> {
     use fjs_cli::soak::{install_sigint_handler, run_soak, SoakOptions};
-    use fjs_core::supervise::PoisonMode;
     use fjs_testkit::{all_targets, Target};
     use std::time::Duration;
 
-    let mut args = args.to_vec();
-    let cells: usize = match take_flag_value(&mut args, "--cells")? {
-        Some(v) => parse_num("--cells", v)? as usize,
-        None => 64,
+    let Some(journal) = a.text("--journal") else {
+        return Err(CliError::usage("soak needs --journal <file>"));
     };
-    let base_seed: u64 = match take_flag_value(&mut args, "--seed")? {
-        Some(v) => parse_num("--seed", v)?,
-        None => 1,
-    };
-    let watchdog_events = take_watchdog_events(&mut args)?;
-    let seconds = take_flag_value(&mut args, "--seconds")?
-        .map(|v| parse_num("--seconds", v))
-        .transpose()?;
-    let minutes = take_flag_value(&mut args, "--minutes")?
-        .map(|v| parse_num("--minutes", v))
-        .transpose()?;
-    let time_budget = match (seconds, minutes) {
-        (None, None) => None,
-        (s, m) => Some(Duration::from_secs(s.unwrap_or(0) + 60 * m.unwrap_or(0))),
-    };
-    let throttle = Duration::from_millis(match take_flag_value(&mut args, "--throttle-ms")? {
-        Some(v) => parse_num("--throttle-ms", v)?,
-        None => 0,
-    });
-    let stop_after = take_flag_value(&mut args, "--stop-after")?
-        .map(|v| parse_num("--stop-after", v).map(|n| n as usize))
-        .transpose()?;
-    let shards: usize = match take_flag_value(&mut args, "--shards")? {
-        Some(v) => parse_num("--shards", v)? as usize,
-        None => 1,
-    };
-    let poison = match take_flag_value(&mut args, "--poison")? {
-        None => None,
-        Some(v) => Some(PoisonMode::from_label(&v).ok_or_else(|| {
-            CliError::Usage(Some(format!("--poison: '{v}' is not a mode (panic, hang)")))
-        })?),
-    };
-    let trace = take_flag_value(&mut args, "--trace")?.map(std::path::PathBuf::from);
-    let resume = take_switch(&mut args, "--resume");
-    let Some(journal) = take_flag_value(&mut args, "--journal")? else {
-        return Err(CliError::Usage(Some("soak needs --journal <file>".into())));
-    };
-    let which = leftover("soak", &args, 1)?.unwrap_or("all");
+    let resume = a.on("--resume");
     if resume {
         // A --resume against a missing or empty journal would silently run
         // fresh; that is always an operator mistake (typo'd path, wrong
         // directory), so fail loudly as a usage error instead.
-        let has_cells = std::fs::metadata(&journal)
+        let has_cells = std::fs::metadata(journal)
             .map(|m| m.len() > 0)
             .unwrap_or(false);
         if !has_cells {
-            return Err(CliError::Usage(Some(format!(
+            return Err(CliError::usage(format!(
                 "--resume: journal '{journal}' is missing or empty; nothing to resume \
                  (start without --resume to begin a fresh run)"
-            ))));
+            )));
         }
     }
 
-    let targets: Vec<Target> = match which {
+    let targets: Vec<Target> = match a.target().unwrap_or("all") {
         "all" => all_targets(),
         "chaos" => vec![Target::default_chaos()],
         name => vec![Target::from_name(name).ok_or_else(|| {
-            CliError::Usage(Some(format!(
+            CliError::usage(format!(
                 "unknown soak target '{name}' (a scheduler short name, 'all', 'chaos', \
                  or 'chaos:<mode>:<scheduler>')"
-            )))
+            ))
         })?],
+    };
+    let time_budget = match (a.get::<u64>("--seconds"), a.get::<u64>("--minutes")) {
+        (None, None) => None,
+        (s, m) => Some(Duration::from_secs(
+            s.unwrap_or(0)
+                .saturating_add(m.unwrap_or(0).saturating_mul(60)),
+        )),
     };
 
     install_sigint_handler();
     let opts = SoakOptions {
-        cells,
-        base_seed,
-        watchdog_events,
-        poison,
+        cells: a.get("--cells").unwrap_or(64),
+        base_seed: a.get("--seed").unwrap_or(1),
+        watchdog_events: a.watchdog_events(),
+        poison: a.choice("--poison", &PoisonMode::ALL),
         time_budget,
         resume,
-        trace,
-        throttle,
-        stop_after,
-        shards,
-        ..SoakOptions::new(targets, &journal)
+        trace: a.text("--trace").map(std::path::PathBuf::from),
+        throttle: Duration::from_millis(a.get("--throttle-ms").unwrap_or(0)),
+        shards: a.get("--shards").unwrap_or(1),
+        ..SoakOptions::new(targets, journal)
     };
     let summary = run_soak(&opts).map_err(CliError::Runtime)?;
     out!("{}", summary.report);
@@ -990,113 +1079,56 @@ fn cmd_soak(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), CliError> {
+fn cmd_serve(a: &Args<'_>) -> Result<(), CliError> {
     use fjs_cli::serve::{install_drain_handlers, ServeOptions, Server, Sink};
     use fjs_core::service::ServeJournal;
     use std::io::BufWriter;
 
-    let mut args = args.to_vec();
-    let input = take_flag_value(&mut args, "--input")?;
-    let socket = take_flag_value(&mut args, "--socket")?.map(std::path::PathBuf::from);
-    let tcp = take_flag_value(&mut args, "--tcp")?;
-    let log_path = take_flag_value(&mut args, "--log")?;
-    let journal_path = take_flag_value(&mut args, "--journal")?;
-    let resume = take_switch(&mut args, "--resume");
-    let mut opts = ServeOptions::default();
-    if let Some(v) = take_flag_value(&mut args, "--workers")? {
-        let n = parse_num("--workers", v)? as usize;
-        // `--workers 0` means "one per core".
-        opts.workers = if n == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            n
-        };
-    }
-    if let Some(v) = take_flag_value(&mut args, "--max-sessions")? {
-        opts.max_sessions = parse_num("--max-sessions", v)? as usize;
-    }
-    if let Some(v) = take_flag_value(&mut args, "--max-pending")? {
-        opts.max_pending = parse_num("--max-pending", v)? as usize;
-    }
-    opts.watchdog_events = take_watchdog_events(&mut args)?;
-    if let Some(v) = take_flag_value(&mut args, "--checkpoint-every")? {
-        opts.checkpoint_every = parse_num("--checkpoint-every", v)? as usize;
-    }
-    if let Some(v) = take_flag_value(&mut args, "--throttle-ms")? {
-        opts.throttle_ms = parse_num("--throttle-ms", v)?;
-    }
-    if let Some(v) = take_flag_value(&mut args, "--quarantine")? {
-        opts.quarantine = fjs_workloads::Quarantine::ALL
-            .iter()
-            .copied()
-            .find(|q| q.label() == v)
-            .ok_or_else(|| {
-                CliError::Usage(Some(format!(
-                    "--quarantine: '{v}' is not a policy (halt, skip, dead-letter)"
-                )))
-            })?;
-    }
-    if let Some(v) = take_flag_value(&mut args, "--tenant-max-sessions")? {
-        opts.tenant_max_sessions = parse_num("--tenant-max-sessions", v)? as usize;
-    }
-    if let Some(v) = take_flag_value(&mut args, "--tenant-max-pending")? {
-        opts.tenant_quotas.max_pending = parse_num("--tenant-max-pending", v)? as usize;
-    }
-    if let Some(v) = take_flag_value(&mut args, "--tenant-max-bytes")? {
-        opts.tenant_quotas.max_bytes = parse_num("--tenant-max-bytes", v)?;
-    }
-    if let Some(v) = take_flag_value(&mut args, "--breaker-threshold")? {
-        opts.breaker.threshold = v.parse().map_err(|_| {
-            CliError::Usage(Some(format!(
-                "--breaker-threshold: '{v}' is not a failure count (0 to {})",
-                u32::MAX
-            )))
-        })?;
-    }
-    if let Some(v) = take_flag_value(&mut args, "--breaker-cooldown")? {
-        opts.breaker.cooldown_events = parse_num("--breaker-cooldown", v)?;
-    }
-    if let Some(v) = take_flag_value(&mut args, "--max-frame-bytes")? {
-        let n = parse_num("--max-frame-bytes", v)? as usize;
-        if n == 0 {
-            return Err(CliError::Usage(Some(
-                "--max-frame-bytes must be at least 1".into(),
-            )));
-        }
-        opts.max_frame_bytes = n;
-    }
-    if let Some(v) = take_flag_value(&mut args, "--writer-queue")? {
-        let n = parse_num("--writer-queue", v)? as usize;
-        if n == 0 {
-            return Err(CliError::Usage(Some(
-                "--writer-queue must be at least 1".into(),
-            )));
-        }
-        opts.writer_queue = n;
-    }
-    let stats_jsonl = take_flag_value(&mut args, "--stats-jsonl")?;
-    leftover("serve", &args, 0)?;
+    let input = a.text("--input");
+    let socket = a.text("--socket").map(std::path::PathBuf::from);
+    let tcp = a.text("--tcp");
+    let journal_path = a.text("--journal");
+    let resume = a.on("--resume");
     if input.is_some() && (socket.is_some() || tcp.is_some()) {
-        return Err(CliError::Usage(Some(
-            "serve: --input and --socket/--tcp are mutually exclusive".into(),
-        )));
+        return Err(CliError::usage(
+            "serve: --input and --socket/--tcp are mutually exclusive",
+        ));
     }
     if resume && journal_path.is_none() {
-        return Err(CliError::Usage(Some(
-            "serve: --resume needs --journal <file>".into(),
-        )));
+        return Err(CliError::usage("serve: --resume needs --journal <file>"));
     }
+    let mut opts = ServeOptions::default();
+    a.set("--workers", &mut opts.workers);
+    if opts.workers == 0 {
+        // `--workers 0` means "one per core".
+        opts.workers = std::thread::available_parallelism().map_or(1, |p| p.get());
+    }
+    opts.watchdog_events = a.watchdog_events();
+    a.set("--max-sessions", &mut opts.max_sessions);
+    a.set("--max-pending", &mut opts.max_pending);
+    a.set("--checkpoint-every", &mut opts.checkpoint_every);
+    a.set("--throttle-ms", &mut opts.throttle_ms);
+    if let Some(q) = a.choice("--quarantine", &Quarantine::ALL) {
+        opts.quarantine = q;
+    }
+    a.set("--tenant-max-sessions", &mut opts.tenant_max_sessions);
+    a.set("--tenant-max-pending", &mut opts.tenant_quotas.max_pending);
+    a.set("--tenant-max-bytes", &mut opts.tenant_quotas.max_bytes);
+    a.set("--breaker-threshold", &mut opts.breaker.threshold);
+    a.set("--breaker-cooldown", &mut opts.breaker.cooldown_events);
+    a.set("--max-frame-bytes", &mut opts.max_frame_bytes);
+    a.set("--writer-queue", &mut opts.writer_queue);
+    let log_path = a.text("--log");
+    let stats_jsonl = a.text("--stats-jsonl");
 
     // Load journaled events before (re)opening the journal for append.
     let journaled = match (&journal_path, resume) {
         (Some(path), true) => {
             if !std::path::Path::new(path).exists() {
-                return Err(CliError::Usage(Some(format!(
+                return Err(CliError::usage(format!(
                     "--resume: journal '{path}' is missing; nothing to resume \
                      (start without --resume to begin a fresh run)"
-                ))));
+                )));
             }
             ServeJournal::load(path).map_err(|e| CliError::Runtime(format!("journal: {e}")))?
         }
@@ -1151,7 +1183,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
                 match net::bind_unix(sock) {
                     Ok(l) => listeners.push(l),
                     Err(net::SocketClaimError::Live(msg)) => {
-                        return Err(CliError::Usage(Some(format!("serve: {msg}"))));
+                        return Err(CliError::usage(format!("serve: {msg}")));
                     }
                     Err(net::SocketClaimError::Io(msg)) => {
                         return Err(CliError::Runtime(format!("serve: {msg}")));
@@ -1194,13 +1226,12 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_fuzz_serve(args: &[String]) -> Result<(), CliError> {
+fn cmd_fuzz_serve(a: &Args<'_>) -> Result<(), CliError> {
     use fjs_cli::fuzz::{run_fuzz_serve, FuzzServeOptions};
     use fjs_cli::loadgen::DriveTarget;
 
-    let mut args = args.to_vec();
     let mut opts = FuzzServeOptions::default();
-    if let Some(sock) = take_flag_value(&mut args, "--socket")? {
+    if let Some(sock) = a.text("--socket") {
         #[cfg(unix)]
         opts.targets.push(DriveTarget::Unix(sock.into()));
         #[cfg(not(unix))]
@@ -1211,35 +1242,18 @@ fn cmd_fuzz_serve(args: &[String]) -> Result<(), CliError> {
             ));
         }
     }
-    if let Some(addr) = take_flag_value(&mut args, "--tcp")? {
-        opts.targets.push(DriveTarget::Tcp(addr));
+    if let Some(addr) = a.text("--tcp") {
+        opts.targets.push(DriveTarget::Tcp(addr.into()));
     }
-    if let Some(v) = take_flag_value(&mut args, "--seed")? {
-        opts.seed = parse_num("--seed", v)?;
-    }
-    if let Some(v) = take_flag_value(&mut args, "--connections")? {
-        let n = parse_num("--connections", v)? as usize;
-        if n == 0 {
-            return Err(CliError::Usage(Some(
-                "--connections must be at least 1".into(),
-            )));
-        }
-        opts.connections = n;
-    }
-    if let Some(v) = take_flag_value(&mut args, "--frames")? {
-        opts.frames = parse_num("--frames", v)?;
-    }
-    if let Some(v) = take_flag_value(&mut args, "--scheduler")? {
-        opts.scheduler = v;
-    }
-    if let Some(path) = take_flag_value(&mut args, "--emit-clean")? {
-        opts.emit_clean = Some(path.into());
-    }
-    leftover("fuzz-serve", &args, 0)?;
+    a.set("--seed", &mut opts.seed);
+    a.set("--connections", &mut opts.connections);
+    a.set("--frames", &mut opts.frames);
+    a.set("--scheduler", &mut opts.scheduler);
+    opts.emit_clean = a.get("--emit-clean");
     if opts.targets.is_empty() {
-        return Err(CliError::Usage(Some(
-            "fuzz-serve needs --socket <path> and/or --tcp <addr>".into(),
-        )));
+        return Err(CliError::usage(
+            "fuzz-serve needs --socket <path> and/or --tcp <addr>",
+        ));
     }
     let report = run_fuzz_serve(&opts).map_err(CliError::Runtime)?;
     outln!("{report}");
@@ -1251,72 +1265,28 @@ fn cmd_fuzz_serve(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_loadgen(args: &[String]) -> Result<(), CliError> {
+fn cmd_loadgen(a: &Args<'_>) -> Result<(), CliError> {
     use fjs_cli::loadgen::{emit_script, LoadgenOptions};
 
-    let mut args = args.to_vec();
-    let parse_f64 = |flag: &str, v: String| -> Result<f64, CliError> {
-        v.parse()
-            .map_err(|_| CliError::Usage(Some(format!("{flag}: '{v}' is not a number"))))
-    };
     let mut opts = LoadgenOptions::default();
-    if let Some(v) = take_flag_value(&mut args, "--sessions")? {
-        opts.sessions = parse_num("--sessions", v)? as usize;
-    }
-    if let Some(v) = take_flag_value(&mut args, "--jobs")? {
-        opts.jobs = parse_num("--jobs", v)? as usize;
-    }
-    if let Some(v) = take_flag_value(&mut args, "--rate")? {
-        opts.rate = parse_f64("--rate", v)?;
-    }
-    if let Some(v) = take_flag_value(&mut args, "--seed")? {
-        opts.seed = parse_num("--seed", v)?;
-    }
-    if let Some(v) = take_flag_value(&mut args, "--scheduler")? {
-        opts.scheduler = v;
-    }
-    if let Some(v) = take_flag_value(&mut args, "--mean-length")? {
-        opts.mean_length = parse_f64("--mean-length", v)?;
-    }
-    if let Some(v) = take_flag_value(&mut args, "--laxity")? {
-        opts.laxity = parse_f64("--laxity", v)?;
-    }
-    if let Some(v) = take_flag_value(&mut args, "--sid-prefix")? {
-        opts.sid_prefix = v;
-    }
-    let misbehave = match take_flag_value(&mut args, "--misbehave")? {
-        Some(v) => Some(fjs_cli::fuzz::Misbehave::parse(&v).ok_or_else(|| {
-            CliError::Usage(Some(format!(
-                "--misbehave: '{v}' is not a mode \
-                 (torn, garbage, giant, partial, disconnect, slowloris)"
-            )))
-        })?),
-        None => None,
-    };
-    let emit = take_flag_value(&mut args, "--emit")?;
-    let socket = take_flag_value(&mut args, "--socket")?;
-    let tcp = take_flag_value(&mut args, "--tcp")?;
-    let json = take_flag_value(&mut args, "--json")?;
-    let concurrency = match take_flag_value(&mut args, "--concurrency")? {
-        Some(v) => {
-            let k = parse_num("--concurrency", v)? as usize;
-            if k == 0 {
-                return Err(CliError::Usage(Some(
-                    "--concurrency must be at least 1".into(),
-                )));
-            }
-            k
-        }
-        None => 1,
-    };
-    leftover("loadgen", &args, 0)?;
+    a.set("--sessions", &mut opts.sessions);
+    a.set("--jobs", &mut opts.jobs);
+    a.set("--rate", &mut opts.rate);
+    a.set("--seed", &mut opts.seed);
+    a.set("--scheduler", &mut opts.scheduler);
+    a.set("--mean-length", &mut opts.mean_length);
+    a.set("--laxity", &mut opts.laxity);
+    a.set("--sid-prefix", &mut opts.sid_prefix);
+    let misbehave = a.choice("--misbehave", &MISBEHAVE_MODES);
+    let (emit, socket, tcp) = (a.text("--emit"), a.text("--socket"), a.text("--tcp"));
+    let concurrency = a.get("--concurrency").unwrap_or(1);
 
     if let Some(path) = emit {
         let script = emit_script(&opts);
         if path == "-" {
             out!("{script}");
         } else {
-            std::fs::write(&path, &script)
+            std::fs::write(path, &script)
                 .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
             eprintln!(
                 "loadgen: wrote {} line(s) to {path} (seed {})",
@@ -1329,9 +1299,9 @@ fn cmd_loadgen(args: &[String]) -> Result<(), CliError> {
 
     let target = match (socket, tcp) {
         (Some(_), Some(_)) => {
-            return Err(CliError::Usage(Some(
-                "loadgen: --socket and --tcp are mutually exclusive".into(),
-            )));
+            return Err(CliError::usage(
+                "loadgen: --socket and --tcp are mutually exclusive",
+            ));
         }
         (Some(sock), None) => {
             #[cfg(unix)]
@@ -1346,7 +1316,7 @@ fn cmd_loadgen(args: &[String]) -> Result<(), CliError> {
                 ));
             }
         }
-        (None, Some(addr)) => Some(fjs_cli::loadgen::DriveTarget::Tcp(addr)),
+        (None, Some(addr)) => Some(fjs_cli::loadgen::DriveTarget::Tcp(addr.into())),
         (None, None) => None,
     };
 
@@ -1360,65 +1330,50 @@ fn cmd_loadgen(args: &[String]) -> Result<(), CliError> {
         let report =
             fjs_cli::loadgen::drive(&target, &opts, concurrency).map_err(CliError::Runtime)?;
         outln!("{report}");
-        if let Some(json_path) = json {
+        if let Some(json_path) = a.text("--json") {
             let text = report.to_benchjson(&fjs_cli::bench::git_describe());
-            std::fs::write(&json_path, text)
+            std::fs::write(json_path, text)
                 .map_err(|e| CliError::Runtime(format!("cannot write {json_path}: {e}")))?;
             eprintln!("loadgen: wrote {json_path}");
         }
         return Ok(());
     }
 
-    Err(CliError::Usage(Some(
-        "loadgen needs --emit <file|->, --socket <path> or --tcp <addr>".into(),
-    )))
+    Err(CliError::usage(
+        "loadgen needs --emit <file|->, --socket <path> or --tcp <addr>",
+    ))
 }
 
 fn real_main(args: &[String]) -> Result<(), CliError> {
-    if args.is_empty() {
-        return Err(CliError::usage());
-    }
-    let cmd = args[0].as_str();
-    let full = args.iter().any(|a| a == "--full");
-    let profile = if full { Profile::Full } else { Profile::Quick };
-    let csv_dir = match args.iter().position(|a| a == "--csv") {
-        Some(i) => match args.get(i + 1) {
-            Some(dir) => Some(dir.clone()),
-            None => return Err(CliError::Usage(Some("--csv needs a directory".into()))),
-        },
-        None => None,
+    let Some((cmd, rest)) = args.split_first() else {
+        return Err(CliError::Usage(None));
     };
+    let name = by_id(cmd).map_or(cmd.as_str(), |_| EXPERIMENT_IDS);
+    let Some(spec) = COMMANDS.iter().find(|c| c.name == name) else {
+        return Err(CliError::usage(format!("unknown command '{cmd}'")));
+    };
+    (spec.run)(&parse(spec, cmd, rest)?)
+}
 
-    match cmd {
-        "gantt" => cmd_gantt(&args[1..]),
-        "trace" => cmd_trace(&args[1..]),
-        "audit" => cmd_audit(&args[1..]),
-        "chaos" => cmd_chaos(&args[1..]),
-        "stats" => cmd_stats(&args[1..]),
-        "bench" => cmd_bench(&args[1..]),
-        "bench-diff" => cmd_bench_diff(&args[1..]),
-        "conform" => cmd_conform(&args[1..]),
-        "soak" => cmd_soak(&args[1..]),
-        "serve" => cmd_serve(&args[1..]),
-        "loadgen" => cmd_loadgen(&args[1..]),
-        "fuzz-serve" => cmd_fuzz_serve(&args[1..]),
-        "list" => {
-            for e in all() {
-                outln!("{:4}  {}", e.id, e.title);
-            }
-            Ok(())
-        }
-        "all" => {
-            for e in all() {
-                run_one(&e, profile, csv_dir.as_deref())?;
-            }
-            Ok(())
-        }
-        id => match by_id(id) {
-            Some(e) => run_one(&e, profile, csv_dir.as_deref()),
-            None => Err(CliError::usage()),
-        },
+fn cmd_list(_: &Args<'_>) -> Result<(), CliError> {
+    for e in all() {
+        outln!("{:4}  {}", e.id, e.title);
     }
+    Ok(())
+}
+
+/// `all` runs every experiment (so does `e1..e15` typed as such), `e<N>`
+/// the one with that id.
+fn cmd_experiments(a: &Args<'_>) -> Result<(), CliError> {
+    let profile = if a.on("--full") {
+        Profile::Full
+    } else {
+        Profile::Quick
+    };
+    let chosen = by_id(a.cmd).map_or_else(all, |e| vec![e]);
+    chosen
+        .iter()
+        .try_for_each(|e| run_one(e, profile, a.text("--csv")))
 }
 
 fn main() {
@@ -1429,7 +1384,7 @@ fn main() {
             if let Some(msg) = msg {
                 eprintln!("{msg}");
             }
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             std::process::exit(2);
         }
         Err(CliError::Runtime(msg)) => {
@@ -1458,4 +1413,52 @@ fn run_one(e: &Experiment, profile: Profile, csv_dir: Option<&str>) -> Result<()
     }
     eprintln!("<== {} done in {:.2}s", e.id, start.elapsed().as_secs_f64());
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_table_is_well_formed() {
+        assert_eq!(EXPERIMENT_IDS, format!("e1..e{}", all().len()));
+        for c in COMMANDS {
+            let mut names: Vec<&str> = c.flags.iter().chain(c.targets).map(|a| a.0).collect();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), c.flags.len() + c.targets.len(), "{}", c.name);
+            assert!(c.flags.iter().all(|f| f.0.starts_with("--")), "{}", c.name);
+            let plain = |t: &Arg| !t.0.starts_with("--") && !matches!(t.1, Kind::Switch);
+            assert!(c.targets.iter().all(plain), "{}", c.name);
+            assert!(c.required <= c.targets.len(), "{}", c.name);
+        }
+    }
+
+    #[test]
+    fn every_target_and_flag_appears_in_its_commands_usage() {
+        let text = usage();
+        let mut entries: Vec<String> = Vec::new();
+        for line in text.lines().map(|l| l.trim_start_matches("usage:").trim()) {
+            if line.starts_with("fjs ") {
+                entries.push(format!("{line} "));
+            } else if line.starts_with('[') {
+                *entries.last_mut().unwrap() += &format!("{line} ");
+            }
+        }
+        assert_eq!(entries.len(), COMMANDS.len(), "{text}");
+        for (c, entry) in COMMANDS.iter().zip(&entries) {
+            assert!(entry.starts_with(&format!("fjs {} ", c.name)), "{entry}");
+            for (i, t) in c.targets.iter().enumerate() {
+                let shown = match i < c.required {
+                    true => format!("<{}> ", t.0),
+                    false => format!("[{}] ", t.0),
+                };
+                assert!(entry.contains(&shown), "{shown} missing from: {entry}");
+            }
+            for f in c.flags {
+                let shown = format!("[{}{}] ", f.0, f.1.meta());
+                assert!(entry.contains(&shown), "{shown} missing from: {entry}");
+            }
+        }
+    }
 }

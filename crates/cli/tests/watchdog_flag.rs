@@ -1,9 +1,11 @@
-//! `--watchdog-events` is parsed by one helper for every command that takes
-//! it: `chaos`, `conform`, `soak` and `serve`. A budget of 0 would cut every
-//! run off at its first event, so it is a usage error (exit 2) that names
-//! the flag, as is a value that is not a number. The same holds for a
-//! stray token after a command's target, and for a `--breaker-threshold`
-//! that does not fit the breaker's 32-bit failure count.
+//! Every `fjs` command line is checked against one argument table before
+//! any work starts. `--watchdog-events` (`chaos`, `conform`, `soak`,
+//! `serve`) is one entry of it: a budget of 0 would cut every run off at
+//! its first event, so it is a usage error (exit 2) that names the flag, as
+//! is a value that is not a number. The same holds for a stray token or an
+//! unknown flag on any command, for any numeric flag given a non-number,
+//! and for a `--breaker-threshold` that does not fit the breaker's 32-bit
+//! failure count.
 
 use std::process::{Command, Stdio};
 
@@ -92,4 +94,108 @@ fn stray_arguments_and_a_wrapping_breaker_threshold_are_usage_errors() {
         assert!(stderr.contains(want), "{args:?}: {stderr}");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs `fjs` with `args` and stdin closed; returns its exit code and
+/// stderr.
+fn fjs(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_fjs"))
+        .args(args)
+        .stdin(Stdio::null())
+        .output()
+        .unwrap();
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into(),
+    )
+}
+
+/// Each command of `fjs`'s own usage text (no arguments, exit 2): its
+/// name and the words of its entry after the name.
+fn usage_entries() -> Vec<(String, Vec<String>)> {
+    let (code, usage) = fjs(&[]);
+    assert_eq!(code, Some(2), "{usage}");
+    let mut entries: Vec<(String, Vec<String>)> = Vec::new();
+    for line in usage.lines().map(|l| l.trim_start_matches("usage:").trim()) {
+        let mut words = line.split_whitespace().map(String::from);
+        if line.starts_with("fjs ") {
+            words.next();
+            entries.push((words.next().unwrap(), words.collect()));
+        } else if line.starts_with('[') {
+            entries.last_mut().unwrap().1.extend(words);
+        }
+    }
+    entries
+}
+
+#[test]
+fn every_command_rejects_an_unknown_flag_and_a_non_numeric_value() {
+    let entries = usage_entries();
+    assert!(entries.len() >= 15, "{entries:?}");
+    for (name, words) in &entries {
+        // `e1..e15` stands for every experiment id.
+        let cmd = name.split("..").next().unwrap();
+        let (code, stderr) = fjs(&[cmd, "--bogus"]);
+        assert_eq!(code, Some(2), "{cmd} --bogus: {stderr}");
+        assert!(stderr.contains("'--bogus'"), "{cmd} --bogus: {stderr}");
+        // A numeric flag shows as `[--flag <n>]` or `[--flag <x>]`.
+        for pair in words.windows(2) {
+            let (Some(flag), "<n>]" | "<x>]") = (pair[0].strip_prefix('['), pair[1].as_str())
+            else {
+                continue;
+            };
+            let (code, stderr) = fjs(&[cmd, flag, "x"]);
+            assert_eq!(code, Some(2), "{cmd} {flag} x: {stderr}");
+            assert!(
+                stderr.contains(&format!("{flag}: 'x'")),
+                "{cmd} {flag} x: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
+fn typos_and_out_of_range_values_are_named_usage_errors() {
+    let cases: [(&[&str], &str); 14] = [
+        (&["gantt", "batch+", "nope"], "gantt: 'nope' is not a seed"),
+        (
+            &["audit", "batch+", "7", "--bogus"],
+            "audit: unexpected argument '--bogus'",
+        ),
+        (&["e3", "--bogus"], "e3: unexpected argument '--bogus'"),
+        (&["list", "--bogus"], "list: unexpected argument '--bogus'"),
+        (
+            &["trace", "a.csv", "extra"],
+            "trace: unexpected argument 'extra'",
+        ),
+        (&["serve", "--csv"], "serve: unexpected argument '--csv'"),
+        (
+            &["soak", "--journal", "s.jsonl", "--stop-after", "3"],
+            "soak: unexpected argument '--stop-after'",
+        ),
+        (
+            &["serve", "--workers", "1", "--workers", "2"],
+            "serve: --workers given twice",
+        ),
+        (&["bench", "--json"], "--json needs a value"),
+        (&["trace"], "trace: missing <file.csv>"),
+        (
+            &["loadgen", "--emit", "-", "--rate", "nan"],
+            "--rate: 'nan'",
+        ),
+        (&["loadgen", "--emit", "-", "--rate", "-1"], "--rate: '-1'"),
+        (
+            &["loadgen", "--emit", "-", "--laxity", "inf"],
+            "--laxity: 'inf'",
+        ),
+        (
+            &["loadgen", "--emit", "-", "--mean-length", "-2"],
+            "--mean-length: '-2'",
+        ),
+    ];
+    for (args, want) in cases {
+        let (code, stderr) = fjs(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(want), "{args:?}: {stderr}");
+    }
 }

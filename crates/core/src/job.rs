@@ -178,21 +178,6 @@ impl Job {
         Job::new(arrival, arrival, length)
     }
 
-    /// Builds a job from the *busy-time literature's* convention — a
-    /// release time and a **completion deadline** `D` (the job must finish
-    /// by `D`) — converting to this crate's starting-deadline convention
-    /// via `d = D − p`. This is the equivalence the paper's concluding
-    /// remarks use to relate Clairvoyant FJS to online busy-time
-    /// scheduling with unbounded capacity (Koehler & Khuller).
-    ///
-    /// # Panics
-    /// Panics unless the window admits the job (`D − p ≥ arrival`) and
-    /// `p > 0`.
-    #[track_caller]
-    pub fn with_completion_deadline(arrival: Time, completion_deadline: Time, length: Dur) -> Self {
-        Job::new(arrival, completion_deadline - length, length)
-    }
-
     /// Arrival time `a(J)`.
     #[inline]
     pub fn arrival(&self) -> Time {
@@ -338,13 +323,6 @@ impl Instance {
             .map(|(i, j)| (JobId(i as u32), j))
     }
 
-    /// Job ids sorted by `(arrival, id)`.
-    pub fn ids_by_arrival(&self) -> Vec<JobId> {
-        let mut ids: Vec<JobId> = (0..self.jobs.len() as u32).map(JobId).collect();
-        ids.sort_by_key(|id| (self.job(*id).arrival(), *id));
-        ids
-    }
-
     /// Appends a job and returns its id.
     pub fn push(&mut self, job: Job) -> JobId {
         let id = JobId(self.jobs.len() as u32);
@@ -371,11 +349,6 @@ impl Instance {
     /// Maximum processing length.
     pub fn max_length(&self) -> Option<Dur> {
         self.jobs.iter().map(|j| j.length()).max()
-    }
-
-    /// Minimum processing length.
-    pub fn min_length(&self) -> Option<Dur> {
-        self.jobs.iter().map(|j| j.length()).min()
     }
 
     /// The common processing length of a **uniform** instance (all jobs the
@@ -459,18 +432,18 @@ mod tests {
     #[test]
     fn completion_deadline_conversion() {
         // Busy-time convention: finish by 10, length 3 → may start until 7.
-        let j = Job::with_completion_deadline(t(2.0), t(10.0), dur(3.0));
+        let j = Job::new(t(2.0), t(10.0) - dur(3.0), dur(3.0));
         assert_eq!(j.deadline(), t(7.0));
         assert_eq!(j.latest_completion(), t(10.0));
         // Tight window: must start immediately.
-        let tight = Job::with_completion_deadline(t(2.0), t(5.0), dur(3.0));
+        let tight = Job::new(t(2.0), t(5.0) - dur(3.0), dur(3.0));
         assert_eq!(tight.laxity(), Dur::ZERO);
     }
 
     #[test]
     #[should_panic(expected = "precedes arrival")]
     fn completion_deadline_too_tight_rejected() {
-        let _ = Job::with_completion_deadline(t(2.0), t(4.0), dur(3.0));
+        let _ = Job::new(t(2.0), t(4.0) - dur(3.0), dur(3.0));
     }
 
     #[test]
@@ -573,7 +546,6 @@ mod tests {
         assert_eq!(inst.mu(), Some(4.0));
         assert_eq!(inst.total_work(), dur(7.0));
         assert_eq!(inst.max_length(), Some(dur(4.0)));
-        assert_eq!(inst.min_length(), Some(dur(1.0)));
         assert_eq!(inst.first_arrival(), Some(t(0.0)));
         assert_eq!(inst.horizon(), Some(t(9.0)));
         assert_eq!(inst[JobId(1)].length(), dur(4.0));
@@ -609,16 +581,6 @@ mod tests {
         assert_eq!(inst.mu(), None);
         assert_eq!(inst.horizon(), None);
         assert_eq!(inst.total_work(), Dur::ZERO);
-    }
-
-    #[test]
-    fn ids_by_arrival_breaks_ties_by_id() {
-        let inst = Instance::new(vec![
-            Job::adp(5.0, 6.0, 1.0),
-            Job::adp(0.0, 1.0, 1.0),
-            Job::adp(0.0, 2.0, 1.0),
-        ]);
-        assert_eq!(inst.ids_by_arrival(), vec![JobId(1), JobId(2), JobId(0)]);
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl Schedule {
         self.starts[id.index()]
     }
 
-    /// Number of jobs with an assigned start.
-    pub fn num_started(&self) -> usize {
-        self.starts.iter().filter(|s| s.is_some()).count()
-    }
-
     /// Whether every job has a start time.
     pub fn is_complete(&self) -> bool {
         self.starts.iter().all(|s| s.is_some())
@@ -219,7 +214,7 @@ mod tests {
         let mut s = Schedule::with_len(3);
         s.set_start(JobId(1), t(0.0));
         assert_eq!(s.span(&inst), dur(2.0));
-        assert_eq!(s.num_started(), 1);
+        assert_eq!(s.start(JobId(1)), Some(t(0.0)));
         assert!(!s.is_complete());
         assert_eq!(s.validate(&inst), Err(ScheduleError::Unstarted(JobId(0))));
     }

@@ -179,17 +179,6 @@ impl TenantBreakers {
         self.clock
     }
 
-    /// `true` when the tenant's breaker is open or half-open — the
-    /// pooled dispatcher uses this to decide whether an `open` needs the
-    /// global clock settled to input order first.
-    pub fn is_restricted(&self, tenant: &str) -> bool {
-        self.cfg.threshold > 0
-            && self
-                .tenants
-                .get(tenant)
-                .is_some_and(|b| b.state != BreakerState::Closed)
-    }
-
     /// Ticks the clock for one applied (journal-equivalent) event: an
     /// admitted open or an admitted (journaled) job offer.
     pub fn note_event(&mut self) {
@@ -350,7 +339,6 @@ mod tests {
         b.note_close("t.a", false);
         b.note_close("t.b", false);
         assert_eq!(b.trips(), 1);
-        assert!(b.is_restricted("t"));
         assert!(matches!(
             b.admit_open("t.c"),
             OpenDecision::Refuse {
@@ -384,8 +372,9 @@ mod tests {
         }
         assert_eq!(b.admit_open("t.probe2"), OpenDecision::Admit);
         b.note_close("t.probe2", true);
-        assert!(!b.is_restricted("t"));
+        // Closed again: every open is admitted, not only a probe.
         assert_eq!(b.admit_open("t.f"), OpenDecision::Admit);
+        assert_eq!(b.admit_open("t.g"), OpenDecision::Admit);
         assert_eq!(b.trips(), 2);
     }
 
@@ -402,7 +391,8 @@ mod tests {
         assert_eq!(b.trips(), 1);
         // The probe's own verdict decides.
         b.note_close("t.p", true);
-        assert!(!b.is_restricted("t"));
+        assert_eq!(b.admit_open("t.q"), OpenDecision::Admit);
+        assert_eq!(b.admit_open("t.r"), OpenDecision::Admit);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! non-clairvoyant runs) and collects start orders.
 
 use crate::job::JobId;
-use crate::sim::env::geometric_class;
 use crate::sim::world::World;
 use crate::time::{Dur, Time};
 
@@ -172,36 +171,6 @@ impl<'a> Ctx<'a> {
             None
         }
     }
-
-    /// Geometric length class `⌈log₂ p⌉` as visible to the scheduler:
-    /// available for released jobs iff the run reveals classes, and always
-    /// for completed jobs.
-    pub fn length_class_of(&self, id: JobId) -> Option<i64> {
-        let len = self.world.length_of(id); // panics on unreleased ids, like job()
-        if self.world.clairvoyance().reveals_class() || self.world.is_completed(id) {
-            len.map(|p| geometric_class(p, 2.0, 1.0))
-        } else {
-            None
-        }
-    }
-
-    /// The pending job with the earliest starting deadline (ties broken by
-    /// longer visible length, then smaller id — the Profit scheduler's flag
-    /// selection rule; for length-blind schedulers ties fall through to id).
-    pub fn earliest_deadline_pending(&self) -> Option<JobId> {
-        self.pending().min_by(|&x, &y| {
-            let dx = self.deadline_of(x);
-            let dy = self.deadline_of(y);
-            dx.cmp(&dy)
-                .then_with(|| {
-                    // Longer length first.
-                    let lx = self.length_of(x).unwrap_or(Dur::ZERO);
-                    let ly = self.length_of(y).unwrap_or(Dur::ZERO);
-                    ly.cmp(&lx)
-                })
-                .then(x.cmp(&y))
-        })
-    }
 }
 
 /// An online scheduler for flexible job scheduling.
@@ -325,18 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn earliest_deadline_pending_tie_breaks_by_length() {
-        let mut world = World::new(crate::sim::env::Clairvoyance::Clairvoyant);
-        let a = world.release(t(0.0), t(5.0), Some(dur(1.0)));
-        let b = world.release(t(0.0), t(5.0), Some(dur(4.0)));
-        let c = world.release(t(0.0), t(6.0), Some(dur(9.0)));
-        let ctx = Ctx::new(&world);
-        // Same deadline: longer job wins (Profit's flag rule).
-        assert_eq!(ctx.earliest_deadline_pending(), Some(b));
-        let _ = (a, c);
-    }
-
-    #[test]
     fn arrival_laxity() {
         let a = Arrival {
             id: JobId(0),
@@ -355,21 +312,11 @@ mod tests {
         let id = world.release(t(0.0), t(1.0), Some(dur(3.0)));
         let ctx = Ctx::new(&world);
         assert_eq!(ctx.length_of(id), None, "exact length hidden");
-        assert_eq!(
-            ctx.length_class_of(id),
-            Some(2),
-            "class ⌈log₂ 3⌉ = 2 revealed"
-        );
-
-        let world_nc = {
-            let mut w = World::new(Clairvoyance::NonClairvoyant);
-            w.release(t(0.0), t(1.0), Some(dur(3.0)));
-            w
-        };
-        let ctx = Ctx::new(&world_nc);
-        assert_eq!(
-            ctx.length_class_of(JobId(0)),
-            None,
+        // What a class-only run reveals instead: the class ⌈log₂ 3⌉ = 2.
+        assert!(Clairvoyance::ClassOnly.reveals_class());
+        assert_eq!(crate::sim::env::geometric_class(dur(3.0), 2.0, 1.0), 2);
+        assert!(
+            !Clairvoyance::NonClairvoyant.reveals_class(),
             "hidden non-clairvoyantly"
         );
     }

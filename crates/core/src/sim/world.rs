@@ -238,13 +238,6 @@ impl World {
             .is_some_and(|slot| self.arena.state(slot) == STATE_PENDING)
     }
 
-    /// Whether the id refers to a running job.
-    pub fn is_running(&self, id: JobId) -> bool {
-        self.arena
-            .try_slot(id)
-            .is_some_and(|slot| self.arena.state(slot) == STATE_RUNNING)
-    }
-
     /// Whether the id refers to a completed job.
     pub fn is_completed(&self, id: JobId) -> bool {
         self.arena
@@ -348,20 +341,6 @@ impl World {
         self.arena.compact_completed_prefix()
     }
 
-    /// Materializes the final state as a static [`Instance`] (requires every
-    /// job's length to be known, which holds at the end of a completed run).
-    ///
-    /// # Panics
-    /// Panics if any job's length is still unruled; use
-    /// [`World::to_partial_instance`] for aborted runs.
-    pub fn to_instance(&self) -> Instance {
-        let (inst, unresolved) = self.to_partial_instance();
-        if let Some(&id) = unresolved.first() {
-            panic!("length of {id} still unruled at end of run");
-        }
-        inst
-    }
-
     /// Materializes the state as a static [`Instance`] even when some
     /// adaptive lengths were never ruled (a run aborted by an event cap or
     /// an environment fault). Jobs without a ruled length get a placeholder:
@@ -414,7 +393,6 @@ mod tests {
 
         w.advance_to(t(1.0));
         w.mark_started(a, t(1.0));
-        assert!(w.is_running(a));
         assert!(!w.is_pending(a));
         assert_eq!(w.num_running(), 1);
         assert_eq!(w.job(a).start(), Some(t(1.0)));
@@ -433,7 +411,8 @@ mod tests {
         w.mark_started(b, t(2.0));
         w.set_length(b, dur(0.5));
         w.mark_completed(b);
-        let inst = w.to_instance();
+        let (inst, unresolved) = w.to_partial_instance();
+        assert!(unresolved.is_empty());
         assert_eq!(inst.len(), 2);
         assert_eq!(inst.job(JobId(1)).length(), dur(0.5));
     }
@@ -462,14 +441,6 @@ mod tests {
         // Running job: observed elapsed time is the best lower bound.
         assert_eq!(inst.job(c).length(), dur(3.0));
         assert!(inst.job(b).length().is_positive());
-    }
-
-    #[test]
-    #[should_panic(expected = "still unruled")]
-    fn to_instance_rejects_unruled_lengths() {
-        let mut w = World::new(Clairvoyance::NonClairvoyant);
-        w.release(t(0.0), t(2.0), None);
-        let _ = w.to_instance();
     }
 
     #[test]

@@ -136,12 +136,6 @@ impl Time {
     pub fn from_dur(d: Dur) -> Time {
         Time(d.0)
     }
-
-    /// The duration from the epoch to this time point.
-    #[inline]
-    pub fn as_dur(self) -> Dur {
-        Dur(self.0)
-    }
 }
 
 impl Dur {
@@ -374,6 +368,5 @@ mod tests {
         assert_eq!(Time::from(3u32), t(3.0));
         assert_eq!(Dur::from(-2i32), dur(-2.0));
         assert_eq!(Time::from_dur(dur(7.0)), t(7.0));
-        assert_eq!(t(7.0).as_dur(), dur(7.0));
     }
 }

@@ -3,7 +3,7 @@
 //! assigns the resulting active intervals to unit-capacity bins.
 
 use crate::packing::{pack, usage_lower_bound, verify_capacity, Item, Packer, Packing};
-use fjs_core::job::{Instance, JobId};
+use fjs_core::job::Instance;
 use fjs_core::schedule::Schedule;
 use fjs_core::time::Dur;
 
@@ -109,16 +109,6 @@ pub fn outcome_items(outcome: &fjs_core::sim::SimOutcome, sizes: &[f64]) -> Vec<
         .collect()
 }
 
-/// Index of the first job (by id) a packing placed in each bin — handy for
-/// reporting.
-pub fn bin_leaders(packing: &Packing) -> Vec<JobId> {
-    packing
-        .bins
-        .iter()
-        .map(|b| JobId(*b.items.first().expect("bins are non-empty") as u32))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,7 +184,6 @@ mod tests {
         let p = pack(&items, Packer::FirstFit);
         assert_eq!(p.num_bins(), 1, "three 0.3-sized jobs share one bin");
         assert!(crate::packing::verify_capacity(&items, &p).is_none());
-        assert_eq!(bin_leaders(&p), vec![JobId(0)]);
     }
 
     #[test]

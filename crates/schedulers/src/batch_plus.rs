@@ -61,11 +61,6 @@ impl BatchPlusState {
         &self.flags
     }
 
-    /// Whether an iteration is currently active.
-    pub fn in_iteration(&self) -> bool {
-        matches!(self.mode, Mode::InIteration { .. })
-    }
-
     /// Handles the arrival of a job belonging to this class.
     pub fn job_arrived(&mut self, id: JobId, ctx: &mut Ctx<'_>) {
         match self.mode {
@@ -238,7 +233,6 @@ mod tests {
     #[test]
     fn state_machine_invariants() {
         let s = BatchPlusState::new();
-        assert!(!s.in_iteration());
         assert!(s.flags().is_empty());
     }
 }

@@ -25,6 +25,9 @@ pub enum DeckKind {
 }
 
 impl DeckKind {
+    /// Both decks.
+    pub const ALL: [DeckKind; 2] = [DeckKind::Main, DeckKind::Uniform];
+
     /// Materializes the deck.
     pub fn deck(&self) -> Vec<Family> {
         match self {

@@ -185,16 +185,6 @@ impl LengthLaw {
             }
         }
     }
-
-    /// The max/min length ratio `μ` this law can produce.
-    pub fn mu_bound(&self) -> f64 {
-        match *self {
-            LengthLaw::Fixed { .. } => 1.0,
-            LengthLaw::Uniform { min, max } => max / min,
-            LengthLaw::BoundedPareto { min, max, .. } => max / min,
-            LengthLaw::Bimodal { short, long, .. } => long / short,
-        }
-    }
 }
 
 /// How laxities (deadline minus arrival) are produced.
@@ -324,7 +314,6 @@ mod tests {
             let p = law.sample(&mut r);
             assert!((1.0..=100.0).contains(&p), "out of range: {p}");
         }
-        assert_eq!(law.mu_bound(), 100.0);
     }
 
     #[test]
@@ -356,7 +345,6 @@ mod tests {
             (800..1200).contains(&longs),
             "expected ≈1000 longs, got {longs}"
         );
-        assert_eq!(law.mu_bound(), 8.0);
     }
 
     #[test]

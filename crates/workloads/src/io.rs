@@ -64,16 +64,6 @@ pub enum TraceError {
         /// The OS error, rendered.
         message: String,
     },
-    /// Arrivals regressed in a reader configured to require arrival order
-    /// (streaming ingestion only).
-    OutOfOrder {
-        /// 1-based line number.
-        line: usize,
-        /// The regressing arrival.
-        arrival: f64,
-        /// The previous (larger) arrival.
-        prev: f64,
-    },
 }
 
 impl TraceError {
@@ -83,8 +73,7 @@ impl TraceError {
             TraceError::BadArity { line, .. }
             | TraceError::BadNumber { line, .. }
             | TraceError::BadJob { line, .. }
-            | TraceError::Io { line, .. }
-            | TraceError::OutOfOrder { line, .. } => line,
+            | TraceError::Io { line, .. } => line,
         }
     }
 }
@@ -100,10 +89,6 @@ impl std::fmt::Display for TraceError {
             }
             TraceError::BadJob { line, reason } => write!(f, "line {line}: {reason}"),
             TraceError::Io { line, message } => write!(f, "line {line}: read error: {message}"),
-            TraceError::OutOfOrder { line, arrival, prev } => write!(
-                f,
-                "line {line}: arrival {arrival} regresses below {prev} (streaming requires arrival order)"
-            ),
         }
     }
 }
@@ -198,14 +183,12 @@ pub struct TraceRecord {
 pub struct TraceReader<R> {
     src: R,
     policy: Quarantine,
-    require_order: bool,
     buf: String,
     line_no: usize,
     /// Byte offset of the first unconsumed byte (= offset of the next
     /// line's first byte).
     byte_offset: u64,
     seen_data: bool,
-    last_arrival: Option<f64>,
     halted: bool,
     stats: IngestStats,
     dead: Vec<DeadLetter>,
@@ -213,17 +196,15 @@ pub struct TraceReader<R> {
 
 impl<R: BufRead> TraceReader<R> {
     /// Wraps a buffered reader with the default ([`Quarantine::Halt`])
-    /// policy and no arrival-order requirement.
+    /// policy.
     pub fn new(src: R) -> Self {
         TraceReader {
             src,
             policy: Quarantine::default(),
-            require_order: false,
             buf: String::new(),
             line_no: 0,
             byte_offset: 0,
             seen_data: false,
-            last_arrival: None,
             halted: false,
             stats: IngestStats::default(),
             dead: Vec::new(),
@@ -233,15 +214,6 @@ impl<R: BufRead> TraceReader<R> {
     /// Sets the quarantine policy.
     pub fn with_policy(mut self, policy: Quarantine) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Requires non-decreasing arrivals, yielding [`TraceError::OutOfOrder`]
-    /// otherwise. Online consumers (e.g. `fjs soak --trace`) want this —
-    /// the simulation releases jobs in arrival order; an unordered trace
-    /// would silently reorder a "stream".
-    pub fn require_arrival_order(mut self, on: bool) -> Self {
-        self.require_order = on;
         self
     }
 
@@ -311,18 +283,6 @@ impl<R: BufRead> TraceReader<R> {
             }
             None => None,
         };
-        if self.require_order {
-            if let Some(prev) = self.last_arrival {
-                if a < prev {
-                    return Err(TraceError::OutOfOrder {
-                        line: line_no,
-                        arrival: a,
-                        prev,
-                    });
-                }
-            }
-            self.last_arrival = Some(a);
-        }
         Ok(Some(TraceRecord {
             line: line_no,
             job,
@@ -646,25 +606,6 @@ mod tests {
         ));
         assert!(reader.next().is_none(), "halt ends the stream");
         assert_eq!(reader.stats().quarantined, 0);
-    }
-
-    #[test]
-    fn reader_enforces_arrival_order_when_asked() {
-        let text = "5,9,1\n3,9,1\n";
-        // Off by default (parse_trace accepts any order).
-        assert!(parse_trace(text).is_ok());
-        let mut reader = TraceReader::new(text.as_bytes()).require_arrival_order(true);
-        assert!(reader.next().unwrap().is_ok());
-        match reader.next() {
-            Some(Err(TraceError::OutOfOrder {
-                line: 2,
-                arrival,
-                prev,
-            })) => {
-                assert_eq!((arrival, prev), (3.0, 5.0));
-            }
-            other => panic!("expected OutOfOrder, got {other:?}"),
-        }
     }
 
     #[test]
